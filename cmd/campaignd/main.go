@@ -213,9 +213,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c.Target.Collapse = *collapse
 	c.Target.Supervision = inject.Supervision{Clock: time.Now, Quarantine: true}
 	c.Target.Telemetry = tel
+	// Prepared once, like a worker at join: the local runner pays per
+	// range only for its rows.
+	camp, err := c.Target.Prepare(c.Golden, c.Plan)
+	if err != nil {
+		return fatal(err)
+	}
 	fmt.Fprintf(stdout, "%s: workload %d cycles, %d zones\n", c.Name, c.Trace.Cycles(), len(c.Analysis.Zones))
 	fmt.Fprintf(stdout, "distributing %d injection experiments (range size %d, plan hash %016x)...\n",
-		len(c.Plan), *rangeSize, inject.PlanHash(c.Plan))
+		len(c.Plan), *rangeSize, camp.PlanHash())
 
 	ccfg := dist.Config{
 		Plan:        c.Plan,
@@ -233,7 +239,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *local {
 		ccfg.LocalRunner = func(lo, hi int) (*inject.Checkpoint, error) {
-			return c.Target.RunRange(c.Golden, c.Plan, *workers, lo, hi)
+			return camp.RunRange(*workers, lo, hi)
 		}
 	}
 	coord, err := dist.New(ccfg)

@@ -53,8 +53,9 @@ type Config struct {
 	// LocalRunner, when set, lets the coordinator execute a range in
 	// process — the graceful-degradation path used by Tick whenever a
 	// range is runnable and no live worker exists to lease it to. It
-	// must return the range's completed partial state (inject.RunRange
-	// in cmd/campaignd; any deterministic stand-in under test).
+	// must return the range's completed partial state (RunRange on a
+	// campaign prepared once in cmd/campaignd; any deterministic
+	// stand-in under test).
 	LocalRunner func(lo, hi int) (*inject.Checkpoint, error)
 	// Logf receives human-readable scheduling events (nil = silent).
 	// Out-of-band: report bytes never depend on it.
@@ -112,7 +113,10 @@ type workerConn struct {
 // New, feed it connections via Serve (one goroutine per connection),
 // drive time via Tick, wait on Done, collect with Result.
 type Coordinator struct {
-	cfg      Config
+	cfg Config
+	// codec holds the plan fingerprint, computed once by New: the hello
+	// check, every result validation and Result compare against it.
+	codec    inject.Codec
 	planHash string
 
 	mu     sync.Mutex
@@ -179,9 +183,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MinRange > cfg.RangeSize {
 		cfg.MinRange = cfg.RangeSize
 	}
+	codec := inject.NewCodec(cfg.Plan)
 	c := &Coordinator{
 		cfg:        cfg,
-		planHash:   fmt.Sprintf("%016x", inject.PlanHash(cfg.Plan)),
+		codec:      codec,
+		planHash:   fmt.Sprintf("%016x", codec.PlanHash()),
 		leaseRange: map[int64]leaseRef{},
 		done:       make(chan struct{}),
 	}
@@ -501,10 +507,10 @@ func (c *Coordinator) result(w *workerConn, m *Msg) {
 
 // validateResultLocked checks that ckpt decodes against the plan and
 // covers exactly [r.lo, r.hi): every plan index present once, none
-// outside the bounds. DecodeCheckpoint already enforces CRCs, plan
-// identity, ordering and uniqueness.
+// outside the bounds. Decode already enforces CRCs, plan identity,
+// ordering and uniqueness.
 func (c *Coordinator) validateResultLocked(r *planRange, ckpt []byte) error {
-	ck, err := inject.DecodeCheckpoint(ckpt, c.cfg.Plan)
+	ck, err := c.codec.Decode(ckpt)
 	if err != nil {
 		return err
 	}
@@ -698,7 +704,7 @@ func (c *Coordinator) runLocal() {
 			// A late worker result completed the range while we ran it
 			// locally: verify ours is byte-identical, as for any
 			// duplicate.
-			if !bytes.Equal(inject.EncodeCheckpoint(ck, c.cfg.Plan), r.result) {
+			if !bytes.Equal(c.codec.Encode(ck), r.result) {
 				c.failLocked(fmt.Errorf(
 					"dist: determinism violation: range [%d,%d) produced two different results (local lease %d)",
 					lo, hi, lease))
@@ -706,7 +712,7 @@ func (c *Coordinator) runLocal() {
 		case r.status == rangeQuarantined:
 			// Quarantine is final; see result().
 		default:
-			enc := inject.EncodeCheckpoint(ck, c.cfg.Plan)
+			enc := c.codec.Encode(ck)
 			if verr := c.validateResultLocked(r, enc); verr != nil {
 				c.cfg.Telemetry.WorkerRetry()
 				c.endLeaseSpanLocked(r, "failed")
@@ -786,7 +792,7 @@ func (c *Coordinator) Result() (*inject.Checkpoint, error) {
 	for _, r := range c.ranges {
 		switch r.status {
 		case rangeDone:
-			ck, err := inject.DecodeCheckpoint(r.result, c.cfg.Plan)
+			ck, err := c.codec.Decode(r.result)
 			if err != nil {
 				return nil, fmt.Errorf("dist: stored result for range [%d,%d) corrupt: %w", r.lo, r.hi, err)
 			}

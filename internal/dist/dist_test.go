@@ -352,6 +352,88 @@ func TestDistNeutralityMatrix(t *testing.T) {
 			}
 		})
 	}
+
+	// The prepared-worker column: what RunWorker does between hello and
+	// fin, without the wire, compared at checkpoint-byte level.
+	for _, kind := range []string{"v1", "v2", "lockstep"} {
+		for _, lanes := range []int{1, 64} {
+			c := campaigns[kind]
+			t.Run(fmt.Sprintf("%s/prepared-worker-kill-lanes%d-collapse", kind, lanes), func(t *testing.T) {
+				preparedWorkerColumn(t, c, lanes)
+			})
+		}
+	}
+}
+
+// preparedWorkerColumn leases the plan in 7-row ranges to a worker that
+// prepared once; the worker is killed on its second lease and a freshly
+// prepared one re-runs that lease and the rest. Every range's bytes
+// must equal the Target.RunRange wrapper's, the concatenation must be
+// the serial campaign's snapshot, and the collapse counters summed over
+// the disjoint ranges must be those of one collapsed serial campaign.
+// The stride-sampled plan has no equivalent rows left, so copies of two
+// early rows are appended: classes whose representative lies leases
+// away from their members.
+func preparedWorkerColumn(t *testing.T, c campaign, lanes int) {
+	c.plan = append(append([]inject.Injection(nil), c.plan...), c.plan[0], c.plan[9], c.plan[0])
+	ref := serialReference(t, c)
+	wt := *c.target
+	wt.Lanes = lanes
+	wt.Collapse = true
+	wt.Telemetry = telemetry.NewCampaign(nil, nil)
+	wrapper := wt
+	wrapper.Telemetry = nil
+	prepare := func() *inject.Prepared {
+		camp, err := wt.Prepare(c.golden, c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return camp
+	}
+
+	camp := prepare()
+	merged := &inject.Checkpoint{}
+	for lease, lo := 1, 0; lo < len(c.plan); lease, lo = lease+1, lo+7 {
+		hi := min(lo+7, len(c.plan))
+		if lease == 2 {
+			camp = prepare() // the killed worker's lease goes to a new one
+		}
+		ck, err := camp.RunRange(2, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wck, err := wrapper.RunRange(c.golden, c.plan, 2, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(camp.Encode(ck), inject.EncodeCheckpoint(wck, c.plan)) {
+			t.Fatalf("range [%d,%d): prepared worker and Target.RunRange disagree", lo, hi)
+		}
+		merged.Results = append(merged.Results, ck.Results...)
+		merged.Quarantined = append(merged.Quarantined, ck.Quarantined...)
+	}
+	serial := &inject.Checkpoint{}
+	for i := range ref.Results {
+		serial.Results = append(serial.Results, inject.IndexedResult{PlanIndex: i, Result: ref.Results[i]})
+	}
+	if !bytes.Equal(camp.Encode(merged), inject.EncodeCheckpoint(serial, c.plan)) {
+		t.Fatal("concatenated range checkpoints differ from the serial snapshot")
+	}
+
+	st := wt
+	st.Telemetry = telemetry.NewCampaign(nil, nil)
+	if _, err := st.Run(c.golden, c.plan); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"faults_collapsed", "faults_static_pruned"} {
+		fleet, one := wt.Telemetry.Registry.Counter(name).Load(), st.Telemetry.Registry.Counter(name).Load()
+		if fleet != one {
+			t.Errorf("%s summed over the ranges = %d, one serial campaign counts %d", name, fleet, one)
+		}
+	}
+	if st.Telemetry.Registry.Counter("faults_collapsed").Load() == 0 {
+		t.Error("vacuous: the plan has no collapsed row")
+	}
 }
 
 // TestDistTelemetryCounters pins the non-vacuity of the distributed

@@ -1,8 +1,9 @@
 // Package dist implements distributed injection campaigns: a
 // coordinator that leases disjoint plan-index ranges to worker
-// processes, and a worker loop that runs the supervised campaign
-// engine (inject.RunRange) over each leased range and streams the
-// completed partial state back as CRC-checked checkpoint records.
+// processes, and a worker loop that prepares the campaign once, runs
+// the supervised engine (inject.Prepared.RunRange) over each leased
+// range and streams the completed partial state back as CRC-checked
+// checkpoint records.
 //
 // The transport is a line-delimited JSON protocol over any
 // io.ReadWriteCloser — a TCP connection for remote workers, a

@@ -46,8 +46,10 @@ type WorkerConfig struct {
 }
 
 // RunWorker speaks the worker side of the protocol over rw: hello,
-// then lease → run → result until the coordinator says fin. Each lease
-// runs through the full supervised engine (inject.RunRange), so
+// then lease → run → result until the coordinator says fin. The
+// campaign is prepared once, before hello — the fingerprint sent there
+// comes from it — so a lease costs its rows, not the plan. Each lease
+// runs through the full supervised engine (Prepared.RunRange), so
 // watchdogs, retries, per-experiment quarantine, lanes and collapse
 // all apply within the range; a heartbeat goroutine keeps the lease
 // alive for as long as the range takes. Returns nil on a clean fin.
@@ -65,11 +67,15 @@ func RunWorker(rw io.ReadWriteCloser, cfg WorkerConfig) error {
 		logf = func(string, ...any) {}
 	}
 
-	err := conn.Write(&Msg{
+	camp, err := cfg.Target.Prepare(cfg.Golden, cfg.Plan)
+	if err != nil {
+		return fmt.Errorf("dist: worker: prepare: %w", err)
+	}
+	err = conn.Write(&Msg{
 		T:        MsgHello,
 		V:        ProtocolVersion,
 		Worker:   cfg.Name,
-		PlanHash: fmt.Sprintf("%016x", inject.PlanHash(cfg.Plan)),
+		PlanHash: fmt.Sprintf("%016x", camp.PlanHash()),
 		PlanLen:  len(cfg.Plan),
 	})
 	if err != nil {
@@ -105,7 +111,7 @@ func RunWorker(rw io.ReadWriteCloser, cfg WorkerConfig) error {
 			prevRoot := tel.TraceRoot()
 			tel.SetTraceRoot(lsp)
 			stop := startHeartbeats(conn, m.Lease, cfg.Heartbeat)
-			ck, runErr := cfg.Target.RunRange(cfg.Golden, cfg.Plan, cfg.Workers, m.Lo, m.Hi)
+			ck, runErr := camp.RunRange(cfg.Workers, m.Lo, m.Hi)
 			stop()
 			tel.SetTraceRoot(prevRoot)
 			if runErr != nil {
@@ -121,7 +127,7 @@ func RunWorker(rw io.ReadWriteCloser, cfg WorkerConfig) error {
 			werr := conn.Write(&Msg{
 				T:     MsgResult,
 				Lease: m.Lease,
-				Ckpt:  inject.EncodeCheckpoint(ck, cfg.Plan),
+				Ckpt:  camp.Encode(ck),
 			})
 			if werr != nil {
 				return werr

@@ -81,11 +81,30 @@ func PlanHash(plan []Injection) uint64 {
 	var n [4]byte
 	binary.LittleEndian.PutUint32(n[:], uint32(len(plan)))
 	h.Write(n[:])
+	var buf []byte
 	for i := range plan {
-		h.Write(appendInjection(nil, &plan[i]))
+		buf = appendInjection(buf[:0], &plan[i])
+		h.Write(buf)
 	}
 	return h.Sum64()
 }
+
+// Codec is the checkpoint codec of one plan: the plan with its
+// fingerprint, hashed once. Hashing is O(plan), so whoever encodes or
+// decodes more than once per plan — a worker returning a result per
+// lease, the coordinator validating every one of them — holds a Codec
+// rather than calling EncodeCheckpoint/DecodeCheckpoint. The plan must
+// not be modified while a Codec built from it is in use.
+type Codec struct {
+	plan []Injection
+	hash uint64
+}
+
+// NewCodec fingerprints the plan.
+func NewCodec(plan []Injection) Codec { return Codec{plan: plan, hash: PlanHash(plan)} }
+
+// PlanHash is the fingerprint NewCodec computed.
+func (c Codec) PlanHash() uint64 { return c.hash }
 
 // ---------- encoding ----------
 
@@ -118,7 +137,10 @@ func appendRecord(b, body []byte) []byte {
 // EncodeCheckpoint serializes campaign state against its plan. Records
 // are emitted in canonical order (sorted by plan index), so the same
 // state always yields the same bytes.
-func EncodeCheckpoint(ck *Checkpoint, plan []Injection) []byte {
+func EncodeCheckpoint(ck *Checkpoint, plan []Injection) []byte { return NewCodec(plan).Encode(ck) }
+
+// Encode is EncodeCheckpoint against the codec's plan.
+func (c Codec) Encode(ck *Checkpoint) []byte {
 	results := append([]IndexedResult(nil), ck.Results...)
 	sort.Slice(results, func(i, j int) bool { return results[i].PlanIndex < results[j].PlanIndex }) //det:order PlanIndex unique per result
 	quar := append([]Quarantined(nil), ck.Quarantined...)
@@ -126,8 +148,8 @@ func EncodeCheckpoint(ck *Checkpoint, plan []Injection) []byte {
 
 	b := append([]byte(nil), checkpointMagic...)
 	b = appendU16(b, checkpointVersion)
-	b = appendU64(b, PlanHash(plan))
-	b = appendU32(b, uint32(len(plan)))
+	b = appendU64(b, c.hash)
+	b = appendU32(b, uint32(len(c.plan)))
 	b = appendU32(b, uint32(len(results)))
 	b = appendU32(b, uint32(len(quar)))
 	b = appendU32(b, crc32.ChecksumIEEE(b))
@@ -168,7 +190,11 @@ func boolByte(v bool) byte {
 // destination, so a crash at any instant leaves a complete checkpoint
 // (the previous or the new one) on disk.
 func WriteCheckpoint(path string, ck *Checkpoint, plan []Injection) error {
-	data := EncodeCheckpoint(ck, plan)
+	return NewCodec(plan).write(path, ck)
+}
+
+func (c Codec) write(path string, ck *Checkpoint) error {
+	data := c.Encode(ck)
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -193,11 +219,15 @@ func WriteCheckpoint(path string, ck *Checkpoint, plan []Injection) error {
 // LoadCheckpoint reads and validates a checkpoint file against the
 // live plan.
 func LoadCheckpoint(path string, plan []Injection) (*Checkpoint, error) {
+	return NewCodec(plan).load(path)
+}
+
+func (c Codec) load(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeCheckpoint(data, plan)
+	return c.Decode(data)
 }
 
 // ---------- decoding ----------
@@ -277,6 +307,13 @@ func (r *ckReader) injection() Injection {
 // duplicated indices, an injection that differs from the plan's,
 // trailing bytes — yields a *CheckpointError.
 func DecodeCheckpoint(data []byte, plan []Injection) (*Checkpoint, error) {
+	return NewCodec(plan).Decode(data)
+}
+
+// Decode is DecodeCheckpoint against the codec's plan; the stored plan
+// hash is compared with the codec's, not with a recomputed one.
+func (c Codec) Decode(data []byte) (*Checkpoint, error) {
+	plan := c.plan
 	fail := func(version int, format string, args ...any) (*Checkpoint, error) {
 		return nil, &CheckpointError{Version: version, Reason: fmt.Sprintf(format, args...)}
 	}
@@ -306,7 +343,7 @@ func DecodeCheckpoint(data []byte, plan []Injection) (*Checkpoint, error) {
 	if int(planLen) != len(plan) {
 		return fail(version, "plan length mismatch: checkpoint has %d, campaign has %d", planLen, len(plan))
 	}
-	if planHash != PlanHash(plan) {
+	if planHash != c.hash {
 		return fail(version, "plan hash mismatch: checkpoint was taken for a different plan/seed")
 	}
 	if int(nResults)+int(nQuar) > len(plan) {

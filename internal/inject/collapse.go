@@ -17,16 +17,14 @@ import (
 // are sound by construction — the report stays byte-identical to the
 // uncollapsed run — and the pre-pass is disabled entirely whenever a
 // wall-clock watchdog is armed (the one supervision mode whose verdicts
-// are not a pure function of the plan).
+// are not a pure function of the plan). The table covers the whole plan
+// and is built once per prepared campaign; every range reads it.
 type planCollapse struct {
 	// dep[i] >= 0 names the representative plan row whose outcome row i
 	// inherits; -1 means row i is simulated (or statically classified).
 	dep []int
-	// static[i] marks rows whose result is pre-computed in res[i].
+	// static[i] marks rows whose result is staticSilent(plan[i]).
 	static []bool
-	res    []ExpResult
-
-	nStatic, nDup int
 }
 
 // collapsePlan runs the static pre-pass. A nil return means "nothing
@@ -46,14 +44,13 @@ type planCollapse struct {
 //     picked the resting polarity, the dominant case for transient
 //     plans), so forcing it changes nothing.
 //
-// All three produce the exact serial result row: Silent, SENS false
-// (true for flips, where the runner forces it), no deviations,
-// FirstDevCycle -1.
+// All three produce the exact serial result row, staticSilent.
 //
 // Classification is skipped when a cycle budget could abort mid-trace
 // (the serial row would then be Aborted, not Silent); equivalence
 // collapsing stays on — equivalent rows share the same injection cycle
-// and duration, so they abort identically too.
+// and duration, so they abort identically too. The quiescence streams
+// live only for the duration of this call.
 func (t *Target) collapsePlan(g *Golden, plan []Injection) *planCollapse {
 	sf, err := statfault.New(t.Analysis)
 	if err != nil {
@@ -68,18 +65,15 @@ func (t *Target) collapsePlan(g *Golden, plan []Injection) *planCollapse {
 	pc := &planCollapse{
 		dep:    make([]int, len(plan)),
 		static: make([]bool, len(plan)),
-		res:    make([]ExpResult, len(plan)),
 	}
+	pruned := 0
 	seen := map[planKey]int{}
 	for i := range plan {
 		pc.dep[i] = -1
-		if staticOK {
-			if res, ok := staticResult(sf, q, plan[i], g.Trace.Cycles()); ok {
-				pc.static[i] = true
-				pc.res[i] = res
-				pc.nStatic++
-				continue
-			}
+		if staticOK && provablySilent(sf, q, plan[i], g.Trace.Cycles()) {
+			pc.static[i] = true
+			pruned++
+			continue
 		}
 		key, ok := collapseKey(sf, plan[i])
 		if !ok {
@@ -87,30 +81,33 @@ func (t *Target) collapsePlan(g *Golden, plan []Injection) *planCollapse {
 		}
 		if r, dup := seen[key]; dup {
 			pc.dep[i] = r
-			pc.nDup++
+			pruned++
 		} else {
 			seen[key] = i
 		}
 	}
-	if pc.nStatic == 0 && pc.nDup == 0 {
+	if pruned == 0 {
 		return nil
 	}
 	return pc
 }
 
 // staticSilent is the result row every static proof produces: the row
-// runOne builds when no monitor ever deviates.
-func staticSilent(inj Injection, sens bool) ExpResult {
-	return ExpResult{Injection: inj, Outcome: Silent, Sens: sens, FirstDevCycle: -1}
+// runOne builds when no monitor ever deviates — Silent, no deviations,
+// FirstDevCycle -1, SENS false except for flips, where the runner
+// forces it.
+func staticSilent(inj Injection) ExpResult {
+	return ExpResult{Injection: inj, Outcome: Silent, Sens: inj.Fault.Kind == faults.Flip, FirstDevCycle: -1}
 }
 
-// staticResult classifies one planned injection without simulation, or
-// reports ok=false when no proof applies and the row must be simulated.
-func staticResult(sf *statfault.Analysis, q *quiescence, inj Injection, cycles int) (ExpResult, bool) {
+// provablySilent reports whether a static proof classifies the planned
+// injection as staticSilent; false means no proof applies and the row
+// must be simulated.
+func provablySilent(sf *statfault.Analysis, q *quiescence, inj Injection, cycles int) bool {
 	f := inj.Fault
 	if inj.Cycle >= cycles {
 		// The fault never applies and the monitors never arm.
-		return staticSilent(inj, f.Kind == faults.Flip), true
+		return true
 	}
 	n := sf.Netlist()
 	switch f.Kind {
@@ -118,55 +115,55 @@ func staticResult(sf *statfault.Analysis, q *quiescence, inj Injection, cycles i
 		v := f.Kind == faults.SA1
 		if f.Site == faults.SitePin {
 			if f.Gate < 0 || int(f.Gate) >= len(n.Gates) {
-				return ExpResult{}, false
+				return false
 			}
 			g := &n.Gates[f.Gate]
 			if f.Pin < 0 || f.Pin >= len(g.Inputs) {
 				// An out-of-range pin force is never read: a no-op.
-				return staticSilent(inj, false), true
+				return true
 			}
 			// A pin force perturbs nothing upstream of the gate output.
 			if !sf.ReachesObs(g.Output) && !sf.ReachesZoneEffect(g.Output, inj.Zone) {
-				return staticSilent(inj, false), true
+				return true
 			}
 			// Quiescent when the pin's net already carries the forced
 			// value whenever the gate evaluates under the force.
 			if q != nil && q.netQuiescent(g.Inputs[f.Pin], sim.FromBool(v), inj.Cycle, inj.Duration) {
-				return staticSilent(inj, false), true
+				return true
 			}
-			return ExpResult{}, false
+			return false
 		}
 		if cv, ok := sf.ConstNet(f.Net); ok && cv == v {
-			return staticSilent(inj, false), true
+			return true
 		}
 		if !sf.ReachesObs(f.Net) && !sf.ReachesZoneEffect(f.Net, inj.Zone) {
-			return staticSilent(inj, false), true
+			return true
 		}
 		if q != nil && q.netQuiescent(f.Net, sim.FromBool(v), inj.Cycle, inj.Duration) {
-			return staticSilent(inj, false), true
+			return true
 		}
 	case faults.Flip:
 		if f.FF < 0 || int(f.FF) >= len(n.FFs) {
-			return ExpResult{}, false
+			return false
 		}
 		// SENS is implied by the runner for flips, so only the
 		// observation cone decides the verdict.
 		if !sf.ReachesObs(n.FFs[f.FF].Q) {
-			return staticSilent(inj, true), true
+			return true
 		}
 		// Flipping an X leaves an X (Kleene complement).
 		if q != nil && q.ffX(f.FF, inj.Cycle) {
-			return staticSilent(inj, true), true
+			return true
 		}
 	case faults.DelayX:
 		if !sf.ReachesObs(f.Net) && !sf.ReachesZoneEffect(f.Net, inj.Zone) {
-			return staticSilent(inj, false), true
+			return true
 		}
 		if q != nil && q.netQuiescent(f.Net, sim.VX, inj.Cycle, inj.Duration) {
-			return staticSilent(inj, false), true
+			return true
 		}
 	}
-	return ExpResult{}, false
+	return false
 }
 
 // planKey identifies a campaign-exact equivalence bucket: two rows with

@@ -1,6 +1,7 @@
 package inject_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -231,6 +232,45 @@ func TestCollapseTelemetryNonVacuity(t *testing.T) {
 	}
 	if done := tel.Registry.Counter("exp_done").Load(); done != int64(len(plan)) {
 		t.Fatalf("exp_done is %d, want %d — static/inherited rows must still count as done", done, len(plan))
+	}
+}
+
+// TestCollapseRangeBoundaryInsideClass places a range boundary inside a
+// known equivalence class: the plan ends in three verbatim copies of
+// row 0, and the range holds only the copies, so the class
+// representative lies outside it. The first copy must stand in —
+// simulated once, on a lane when lanes are on — and the other two
+// inherit from it; the bytes must be the serial rows.
+func TestCollapseRangeBoundaryInsideClass(t *testing.T) {
+	target, g, base := reducedCampaign(t, true)
+	plan := append(append([]inject.Injection(nil), base...), base[0], base[0], base[0])
+	ref, err := target.Run(g, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := len(base), len(plan)
+	want := inject.EncodeCheckpoint(serialRows(ref, lo, hi), plan)
+	for _, lanes := range []int{1, 64} {
+		tgt, tel, _ := instrumented(target)
+		tgt.Collapse = true
+		tgt.Lanes = lanes
+		ck, err := tgt.RunRange(g, plan, 2, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := inject.EncodeCheckpoint(ck, plan); !bytes.Equal(got, want) {
+			t.Fatalf("lanes=%d: range inside the class differs from the serial rows", lanes)
+		}
+		for name, want := range map[string]int64{
+			"faults_collapsed": 3, "exp_started": 1, "outcomes_inherited": 2,
+		} {
+			if got := tel.Registry.Counter(name).Load(); got != want {
+				t.Errorf("lanes=%d: %s = %d, want %d", lanes, name, got, want)
+			}
+		}
+		if got := tel.Registry.Counter("batches").Load(); got != int64(lanes/64) {
+			t.Errorf("lanes=%d: stand-in made %d lane batches, want %d", lanes, got, lanes/64)
+		}
 	}
 }
 

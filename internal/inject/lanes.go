@@ -38,25 +38,23 @@ func batchable(inj Injection) bool {
 	return false
 }
 
-// buildUnits partitions the pending plan indices of the span [lo, hi)
-// into work units: each unbatchable experiment is its own unit;
-// batchable ones are sorted by (injection cycle, plan index) — so the
+// buildUnits partitions the pending plan indices of the span into work
+// units: each unbatchable experiment is its own unit; batchable ones
+// are sorted by (injection cycle, plan index) — so the
 // lanes of one batch want the same golden snapshot — and chunked into
 // units of up to lanes members. Units are ordered by their lowest plan
 // index, approximating the ascending claim order of the per-experiment
-// cursor. Rows the static pre-pass collapsed onto a representative
-// (pc non-nil) are excluded: they inherit their result after the drain
-// instead of occupying a lane.
-func buildUnits(st *campaignState, plan []Injection, lanes int, pc *planCollapse, lo, hi int) [][]int {
+// cursor. Rows the static pre-pass collapsed onto an in-span row
+// (from[k] >= 0; from is nil without the pre-pass) are excluded: they
+// inherit their result after the drain instead of occupying a lane.
+func buildUnits(st *campaignState, plan []Injection, lanes int, from []int) [][]int {
 	var units [][]int
 	var batch []int
-	for i := lo; i < hi; i++ {
-		if st.slots[i].done {
+	for k := range st.slots {
+		if st.slots[k].done || from != nil && from[k] >= 0 {
 			continue
 		}
-		if pc != nil && pc.dep[i] >= 0 {
-			continue
-		}
+		i := st.lo + k
 		if batchable(plan[i]) {
 			batch = append(batch, i)
 		} else {
@@ -94,13 +92,13 @@ func minIndex(unit []int) int {
 // runBatchRecovered is runBatch with panic isolation, like
 // runRecovered: a failing batch is discarded whole and every member is
 // retried on the serial supervised path.
-func (t *Target) runBatchRecovered(g *Golden, prog *simc.Program, plan []Injection, idxs []int) (res []ExpResult, err error) {
+func (p *Prepared) runBatchRecovered(idxs []int) (res []ExpResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("lane batch panic: %v", r)
 		}
 	}()
-	return t.runBatch(g, prog, plan, idxs)
+	return p.runBatch(idxs)
 }
 
 // laneExp is the per-lane bookkeeping of one batch member.
@@ -129,7 +127,8 @@ type laneExp struct {
 // bit-lane of a compiled machine, and returns their results in idxs
 // order. Any error (or panic, via runBatchRecovered) means no result
 // was produced for any member; the caller reruns them serially.
-func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs []int) ([]ExpResult, error) {
+func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
+	t, g, plan, ports := &p.t, p.g, p.plan, p.ports
 	a := t.Analysis
 	tr := g.Trace
 	lanes := len(idxs)
@@ -137,16 +136,7 @@ func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs 
 		return nil, fmt.Errorf("inject: lanes: batch of %d exceeds the 64-lane word", lanes)
 	}
 
-	ports := make([]netlist.Port, len(tr.Ports))
-	for pi, name := range tr.Ports {
-		p, ok := prog.Netlist().FindInput(name)
-		if !ok {
-			return nil, fmt.Errorf("inject: lanes: trace port %q not in netlist", name)
-		}
-		ports[pi] = p
-	}
-
-	m := simc.NewMachine(prog)
+	m := simc.NewMachine(p.prog)
 	lcs := make([]laneExp, lanes)
 	minCycle := plan[idxs[0]].Cycle
 	for k, i := range idxs {

@@ -122,6 +122,50 @@ func TestLanesNeutralityMatrix(t *testing.T) {
 					}
 				}
 			})
+
+			// A lease that collapse or a resume left with one pending
+			// batchable row runs it as a one-lane batch, not on the scalar
+			// path: every plan row taken alone must ride the kernel and
+			// still be the serial row, also when its cycle budget aborts it.
+			t.Run("lone-row", func(t *testing.T) {
+				budget := g.Trace.Cycles() / 2
+				btgt := *target
+				btgt.Supervision = inject.Supervision{CycleBudget: budget}
+				bref, err := btgt.Run(g, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, tc := range []struct {
+					name string
+					sup  inject.Supervision
+					ref  *inject.Report
+				}{
+					{"free", inject.Supervision{}, ref},
+					{"cycle-budget", inject.Supervision{CycleBudget: budget}, bref},
+				} {
+					tgt, tel, _ := instrumented(wtgt)
+					tgt.Lanes = 64
+					tgt.Supervision = tc.sup
+					camp, err := tgt.Prepare(wg, plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range plan {
+						ck, err := camp.RunRange(1, i, i+1)
+						if err != nil {
+							t.Fatalf("%s: row %d: %v", tc.name, i, err)
+						}
+						want := []inject.IndexedResult{{PlanIndex: i, Result: tc.ref.Results[i]}}
+						if !reflect.DeepEqual(ck.Results, want) || len(ck.Quarantined) != 0 {
+							t.Fatalf("%s: row %d alone differs from the serial row", tc.name, i)
+						}
+					}
+					if got := tel.Registry.Counter("batches").Load(); got != int64(len(plan)) {
+						t.Fatalf("%s: %d one-row ranges made %d lane batches — lone rows fell to the scalar path",
+							tc.name, len(plan), got)
+					}
+				}
+			})
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/simc"
 	"repro/internal/telemetry"
 	"repro/internal/zones"
 )
@@ -71,7 +70,7 @@ func (rep *Report) absorb(res ExpResult, ci covIndex) {
 	}
 }
 
-// expSlot is the per-plan-index completion cell of a campaign.
+// expSlot is the completion cell of one plan index.
 type expSlot struct {
 	done bool
 	quar bool
@@ -79,29 +78,33 @@ type expSlot struct {
 	q    Quarantined
 }
 
-// campaignState tracks completion, quarantine and checkpoint cadence
-// under one mutex; simulation dominates the cost by orders of
-// magnitude, so the lock never contends meaningfully.
+// campaignState tracks completion, quarantine and checkpoint cadence of
+// one span of the plan under one mutex; simulation dominates the cost
+// by orders of magnitude, so the lock never contends meaningfully.
 type campaignState struct {
 	mu        sync.Mutex
-	slots     []expSlot
-	completed int // completions in this process (drives cadence + StopAfter)
+	lo        int       // plan index of slots[0]
+	slots     []expSlot // one per plan index of the span
+	completed int       // completions in this process (drives cadence + StopAfter)
 	sinceCkpt int
 }
 
-// snapshotSpan renders the completed state of plan indices [lo, hi) as
-// a Checkpoint, in canonical plan-index order.
-func (st *campaignState) snapshotSpan(lo, hi int) *Checkpoint {
+// at returns the cell of plan index i, which must lie in the span.
+func (st *campaignState) at(i int) *expSlot { return &st.slots[i-st.lo] }
+
+// snapshot renders the completed state of the span as a Checkpoint, in
+// canonical plan-index order.
+func (st *campaignState) snapshot() *Checkpoint {
 	ck := &Checkpoint{}
-	for i := lo; i < hi; i++ {
-		s := &st.slots[i]
+	for k := range st.slots {
+		s := &st.slots[k]
 		if !s.done {
 			continue
 		}
 		if s.quar {
 			ck.Quarantined = append(ck.Quarantined, s.q)
 		} else {
-			ck.Results = append(ck.Results, IndexedResult{PlanIndex: i, Result: s.res})
+			ck.Results = append(ck.Results, IndexedResult{PlanIndex: st.lo + k, Result: s.res})
 		}
 	}
 	return ck
@@ -125,21 +128,11 @@ func (st *campaignState) snapshotSpan(lo, hi int) *Checkpoint {
 // order, so the first failing index is always claimed and executed
 // before the abort flag can stop any later one.
 func (t *Target) RunParallel(g *Golden, plan []Injection, workers int) (*Report, error) {
-	st, err := t.runSpan(g, plan, workers, 0, len(plan))
+	p, err := t.Prepare(g, plan)
 	if err != nil {
 		return nil, err
 	}
-	rep, ci := newReport(t.Analysis)
-	for i := range st.slots {
-		s := &st.slots[i]
-		if s.quar {
-			rep.Quarantined = append(rep.Quarantined, s.q)
-		} else {
-			rep.absorb(s.res, ci)
-		}
-	}
-	t.Telemetry.Summary()
-	return rep, nil
+	return p.Run(workers)
 }
 
 // RunRange executes only the plan indices in [lo, hi) and returns the
@@ -151,17 +144,14 @@ func (t *Target) RunParallel(g *Golden, plan []Injection, workers int) (*Report,
 // bit-identical single-process report. Lanes, warm start, collapse and
 // the per-experiment supervision policy all compose: they are
 // per-process throughput/robustness knobs that never change a result
-// row.
+// row. A caller with more than one range to run prepares once and calls
+// Prepared.RunRange.
 func (t *Target) RunRange(g *Golden, plan []Injection, workers, lo, hi int) (*Checkpoint, error) {
-	if lo < 0 || hi > len(plan) || lo > hi {
-		return nil, fmt.Errorf("inject: range [%d,%d) outside plan of %d", lo, hi, len(plan))
-	}
-	st, err := t.runSpan(g, plan, workers, lo, hi)
+	p, err := t.Prepare(g, plan)
 	if err != nil {
 		return nil, err
 	}
-	t.Telemetry.Summary()
-	return st.snapshotSpan(lo, hi), nil
+	return p.RunRange(workers, lo, hi)
 }
 
 // AssembleReport merges complete per-index campaign state — typically
@@ -213,13 +203,13 @@ func (t *Target) AssembleReport(plan []Injection, ck *Checkpoint) (*Report, erro
 	return rep, nil
 }
 
-// runSpan is the campaign execution engine behind RunParallel (full
-// span) and RunRange (a leased sub-range): it completes every pending
-// plan index in [lo, hi) and leaves the verdicts in the returned
-// per-index slots. Indices outside the span are never claimed; a
-// checkpoint preload may still fill them (harmless — they are simply
-// not exported by snapshotSpan).
-func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*campaignState, error) {
+// runSpan is the campaign execution engine behind Run (full span) and
+// RunRange (a leased sub-range): it completes every pending plan index
+// in [lo, hi) and leaves the verdicts in the returned span-sized slots.
+// Everything it knows about the campaign comes from p; what it allocates
+// is proportional to hi-lo.
+func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
+	t, g, plan := &p.t, p.g, p.plan
 	span := hi - lo
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -233,12 +223,12 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 	}
 	tel := t.Telemetry
 	if tel != nil {
-		tel.PlanBuilt(span, workers, PlanHash(plan))
+		tel.PlanBuilt(span, workers, p.hash)
 	}
 
-	st := &campaignState{slots: make([]expSlot, len(plan))}
+	st := &campaignState{lo: lo, slots: make([]expSlot, span)}
 	if sup.Resume && sup.Checkpoint != "" {
-		nres, nquar, err := st.preload(sup.Checkpoint, plan)
+		nres, nquar, err := st.preload(p.Codec, sup.Checkpoint)
 		if err != nil {
 			return nil, err
 		}
@@ -254,45 +244,59 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 	// in-order merge. A wall-clock watchdog makes verdicts depend on
 	// host timing, so it disables the pre-pass the same way it disables
 	// lanes.
+	//
+	// from is the table seen from this span: from[i-lo] >= 0 names the
+	// in-span row whose outcome pending row i inherits. When a class's
+	// representative lies below lo — every lease boundary that cuts a
+	// class — its first pending member in the span stands in: it is
+	// simulated and the later members inherit from it.
 	var pc *planCollapse
-	if t.Collapse && span > 0 && !(sup.WallBudget > 0 && sup.Clock != nil) {
-		csp := tel.StartSpan("collapse")
-		pc = t.collapsePlan(g, plan)
-		csp.End()
+	if t.Collapse && span > 0 && !sup.wallArmed() {
+		pc = p.collapse()
 	}
+	var from []int
 	if pc != nil {
-		applied := 0
+		from = make([]int, span)
+		var standIn map[int]int // representative below lo -> its stand-in
+		pruned, collapsed := 0, 0
 		for i := lo; i < hi; i++ {
-			if pc.static[i] && !st.slots[i].done {
-				st.slots[i] = expSlot{done: true, res: pc.res[i]}
-				applied++
+			from[i-lo] = -1
+			r := pc.dep[i]
+			switch {
+			case st.at(i).done: // preloaded
+			case pc.static[i]:
+				*st.at(i) = expSlot{done: true, res: staticSilent(plan[i])}
+				pruned++
+			case r >= lo:
+				from[i-lo] = r
+				collapsed++
+			case r >= 0:
+				collapsed++
+				if first, ok := standIn[r]; ok {
+					from[i-lo] = first
+				} else {
+					if standIn == nil {
+						standIn = map[int]int{}
+					}
+					standIn[r] = i
+				}
 			}
 		}
-		tel.CollapsePlan(applied, pc.nDup)
+		tel.CollapsePlan(pruned, collapsed)
 	}
 
-	// The word-parallel path: with Lanes > 1 the batchable pending
-	// experiments are grouped into lockstep lane batches on a compiled
-	// machine (see lanes.go). Wall-clock watchdogs are inherently
-	// nondeterministic and per-instance, so an armed one keeps the whole
-	// campaign on the serial per-experiment path.
-	lanes := min(t.Lanes, 64)
-	useLanes := lanes > 1 && span > 0 &&
-		!(sup.WallBudget > 0 && sup.Clock != nil)
-	var prog *simc.Program
+	// The word-parallel path: on a campaign prepared with a lane kernel
+	// the batchable pending experiments are grouped into lockstep lane
+	// batches on the compiled machine (see lanes.go).
 	var units [][]int
-	if useLanes {
-		var err error
-		if prog, err = simc.Compile(t.Analysis.N); err != nil {
-			return nil, err
-		}
-		units = buildUnits(st, plan, lanes, pc, lo, hi)
+	if p.prog != nil {
+		units = buildUnits(st, plan, min(t.Lanes, 64), from)
 	}
 
 	var (
 		cursor      atomic.Int64
 		stopped     atomic.Bool
-		errs        = make([]error, len(plan))
+		errs        = make([]error, span)
 		ckptErr     error
 		interrupted = sup.interrupted()
 	)
@@ -304,7 +308,7 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 		stopping := sup.StopAfter > 0 && st.completed >= sup.StopAfter
 		if sup.Checkpoint != "" && (st.sinceCkpt >= sup.CheckpointEvery || stopping) {
 			csp := tel.StartSpanInt("checkpoint", "completed", int64(st.completed))
-			if err := WriteCheckpoint(sup.Checkpoint, st.snapshotSpan(lo, hi), plan); err != nil {
+			if err := p.write(sup.Checkpoint, st.snapshot()); err != nil {
 				if ckptErr == nil {
 					ckptErr = err
 					stopping = true
@@ -329,19 +333,19 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 		if err != nil {
 			if sup.Quarantine {
 				ee := err.(*ExperimentError)
-				st.slots[i] = expSlot{done: true, quar: true, q: Quarantined{
+				*st.at(i) = expSlot{done: true, quar: true, q: Quarantined{
 					PlanIndex: i, Injection: plan[i], Attempts: ee.Attempts, Err: ee.Err.Error(),
 				}}
 				tel.Quarantine(i, ee.Attempts, ee.Err.Error())
 				tk.Span.EndOutcome("quarantined")
 				finish()
 			} else {
-				errs[i] = err
+				errs[i-lo] = err
 				stopped.Store(true)
 				tel.ExpFinish(i, "error", false, 0, -1, tk)
 			}
 		} else {
-			st.slots[i] = expSlot{done: true, res: res}
+			*st.at(i) = expSlot{done: true, res: res}
 			tel.ExpFinish(i, res.Outcome.String(), res.Sens, len(res.Deviated), res.FirstDevCycle, tk)
 			finish()
 		}
@@ -353,20 +357,21 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 			if i >= hi || stopped.Load() || interrupted() {
 				return
 			}
-			if st.slots[i].done { // preloaded or statically classified
+			if st.at(i).done { // preloaded or statically classified
 				continue
 			}
-			if pc != nil && pc.dep[i] >= 0 { // inherits after the drain
+			if from != nil && from[i-lo] >= 0 { // inherits after the drain
 				continue
 			}
 			runSingle(i, tel.ExpStart(i))
 		}
 	}
 	// workUnits is the lanes variant: the cursor claims whole work
-	// units. A multi-lane batch that fails for any reason (error or
-	// panic) produces no results; every member is then rerun serially
-	// under the full supervision policy, so retry/quarantine semantics
-	// are identical to the per-experiment path.
+	// units. A batch that fails for any reason (error or panic) produces
+	// no results; every member is then rerun serially under the full
+	// supervision policy, so retry/quarantine semantics are identical to
+	// the per-experiment path. An unbatchable row is a unit of its own
+	// and goes there directly; a lone batchable row is a one-lane batch.
 	workUnits := func() {
 		for {
 			u := int(cursor.Add(1)) - 1
@@ -374,8 +379,7 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 				return
 			}
 			idxs := units[u]
-			if len(idxs) == 1 {
-				i := idxs[0]
+			if i := idxs[0]; !batchable(plan[i]) {
 				runSingle(i, tel.ExpStart(i))
 				continue
 			}
@@ -384,7 +388,7 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 				starts[k] = tel.ExpStart(i)
 			}
 			bsp := tel.BatchStart(len(idxs))
-			results, err := t.runBatchRecovered(g, prog, plan, idxs)
+			results, err := p.runBatchRecovered(idxs)
 			tel.BatchDone(bsp, len(idxs))
 			if err != nil {
 				for k, i := range idxs {
@@ -394,7 +398,7 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 			}
 			st.mu.Lock()
 			for k, i := range idxs {
-				st.slots[i] = expSlot{done: true, res: results[k]}
+				*st.at(i) = expSlot{done: true, res: results[k]}
 				r := &results[k]
 				tel.ExpFinish(i, r.Outcome.String(), r.Sens, len(r.Deviated), r.FirstDevCycle, starts[k])
 				finish()
@@ -407,7 +411,7 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 	// cursor walks work-unit indices (units already cover only the span).
 	loop := work
 	cursor.Store(int64(lo))
-	if useLanes {
+	if p.prog != nil {
 		loop = workUnits
 		cursor.Store(0)
 	}
@@ -441,23 +445,23 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 	// the final checkpoint and the merge. A row whose representative
 	// carries no result (quarantined) is simulated itself, exactly as
 	// the uncollapsed campaign would have done.
-	if pc != nil {
+	if from != nil {
 		for i := lo; i < hi; i++ {
 			if stopped.Load() || interrupted() {
 				break
 			}
-			r := pc.dep[i]
-			if r < 0 || st.slots[i].done {
+			r := from[i-lo]
+			if r < 0 || st.at(i).done {
 				continue
 			}
-			rs := st.slots[r]
+			rs := st.at(r)
 			if rs.done && !rs.quar {
 				res := rs.res
 				res.Injection = plan[i]
 				if rs.res.Deviated != nil {
 					res.Deviated = append([]int(nil), rs.res.Deviated...)
 				}
-				st.slots[i] = expSlot{done: true, res: res}
+				*st.at(i) = expSlot{done: true, res: res}
 				tel.OutcomeInherited()
 			} else {
 				runSingle(i, tel.ExpStart(i))
@@ -479,14 +483,14 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 	// after the last verdict the completed campaign is returned as
 	// usual, so a cancel racing the natural finish stays benign.
 	if interrupted() {
-		for i := lo; i < hi; i++ {
-			if !st.slots[i].done {
+		for k := range st.slots {
+			if !st.slots[k].done {
 				return nil, ErrCampaignInterrupted
 			}
 		}
 	}
 	if sup.Checkpoint != "" && st.sinceCkpt > 0 {
-		if err := WriteCheckpoint(sup.Checkpoint, st.snapshotSpan(lo, hi), plan); err != nil {
+		if err := p.write(sup.Checkpoint, st.snapshot()); err != nil {
 			return nil, err
 		}
 		tel.CheckpointWrite(st.completed)
@@ -495,22 +499,30 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 }
 
 // preload fills completion slots from a checkpoint file, reporting how
-// many result and quarantine records it restored. A missing file is a
-// fresh start, not an error; an unreadable or mismatched one aborts
-// before any simulation is spent.
-func (st *campaignState) preload(path string, plan []Injection) (results, quarantined int, err error) {
-	ck, err := LoadCheckpoint(path, plan)
+// many result and quarantine records it restored. The whole file is
+// validated against the plan; records outside the span are then left
+// alone. A missing file is a fresh start, not an error; an unreadable
+// or mismatched one aborts before any simulation is spent.
+func (st *campaignState) preload(c Codec, path string) (results, quarantined int, err error) {
+	ck, err := c.load(path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil
 	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("inject: resume: %w", err)
 	}
+	inSpan := func(i int) bool { return i >= st.lo && i < st.lo+len(st.slots) }
 	for _, ir := range ck.Results {
-		st.slots[ir.PlanIndex] = expSlot{done: true, res: ir.Result}
+		if inSpan(ir.PlanIndex) {
+			*st.at(ir.PlanIndex) = expSlot{done: true, res: ir.Result}
+			results++
+		}
 	}
 	for _, q := range ck.Quarantined {
-		st.slots[q.PlanIndex] = expSlot{done: true, quar: true, q: q}
+		if inSpan(q.PlanIndex) {
+			*st.at(q.PlanIndex) = expSlot{done: true, quar: true, q: q}
+			quarantined++
+		}
 	}
-	return len(ck.Results), len(ck.Quarantined), nil
+	return results, quarantined, nil
 }

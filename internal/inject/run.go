@@ -184,8 +184,7 @@ func (t *Target) runOne(g *Golden, inj Injection) (ExpResult, error) {
 	// after the outcome is pinned, so with a live watchdog we must keep
 	// simulating to reproduce that verdict (see DESIGN.md §11).
 	cb := t.Supervision.CycleBudget
-	earlyExitSafe := (cb <= 0 || cb >= tr.Cycles()) &&
-		(t.Supervision.WallBudget <= 0 || t.Supervision.Clock == nil)
+	earlyExitSafe := (cb <= 0 || cb >= tr.Cycles()) && !t.Supervision.wallArmed()
 	wallCheck := t.Supervision.wallChecker()
 	res := ExpResult{Injection: inj, FirstDevCycle: -1}
 	deviated := map[int]bool{}

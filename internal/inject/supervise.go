@@ -83,6 +83,11 @@ func (sv *Supervision) interrupted() func() bool {
 	}
 }
 
+// wallArmed reports whether the wall-clock watchdog is live — the one
+// mode whose verdicts depend on host timing, so lanes and the static
+// pre-pass stand down while it is.
+func (sv *Supervision) wallArmed() bool { return sv.WallBudget > 0 && sv.Clock != nil }
+
 // defaultCheckpointEvery is the checkpoint cadence when unset.
 const defaultCheckpointEvery = 16
 
@@ -90,7 +95,7 @@ const defaultCheckpointEvery = 16
 // wall watchdog is disabled. The clock is only sampled every 256
 // cycles so the guard stays invisible next to the simulation cost.
 func (sv *Supervision) wallChecker() func(cycle int) bool {
-	if sv.WallBudget <= 0 || sv.Clock == nil {
+	if !sv.wallArmed() {
 		return func(int) bool { return false }
 	}
 	deadline := sv.Clock().Add(sv.WallBudget)
