@@ -27,6 +27,7 @@ import (
 	"repro/internal/frcpu"
 	"repro/internal/iec61508"
 	"repro/internal/inject"
+	"repro/internal/injecttest"
 	"repro/internal/memsys"
 	"repro/internal/mission"
 	"repro/internal/netlist"
@@ -782,11 +783,32 @@ func BenchmarkE18_TelemetryOverhead(b *testing.B) {
 	b.ReportMetric(overheadPct, "overhead%")
 }
 
+// scalarRun times the reference runner — Target.RunOne per row on the
+// interpreted simulator — over the plan, checking every row against the
+// reference report. It is the scalar column of E19 and E20: no campaign
+// runs on this loop, the tests compare the campaign engine against it.
+func scalarRun(b *testing.B, tgt *inject.Target, g *inject.Golden, plan []inject.Injection, ref *inject.Report) time.Duration {
+	b.Helper()
+	start := time.Now()
+	for i, inj := range plan {
+		res, err := tgt.RunOne(g, inj)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, ref.Results[i]) {
+			b.Fatalf("row %d on the reference runner differs from the cold scalar reference", i)
+		}
+	}
+	return time.Since(start)
+}
+
 // ---------- E19: golden-snapshot warm start — each experiment resumes
 // from the golden snapshot at-or-before its injection cycle instead of
 // re-simulating the shared prefix. With injection cycles uniform over
 // the trace roughly half of all campaign cycles are redundant, so the
-// single-core serial speedup should approach 2×. ----------
+// single-core speedup should approach 2×. Both columns are taken on the
+// scalar reference runner, where one experiment is one simulation and
+// the skipped prefix shows undiluted. ----------
 
 func BenchmarkE19_WarmStart(b *testing.B) {
 	c2 := campaign(b, true)
@@ -808,36 +830,25 @@ func BenchmarkE19_WarmStart(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	start := time.Now()
-	coldRep, err := coldTgt.Run(c2.golden, plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	coldSerial := time.Since(start)
-	start = time.Now()
-	warmRep, err := warmTgt.Run(warmGolden, plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	warmSerial := time.Since(start)
-	if !reflect.DeepEqual(coldRep, warmRep) {
-		b.Fatal("warm-start serial report differs from cold-start serial report")
-	}
-	// Byte-identity at every tested worker count against the cold
-	// serial reference — the acceptance contract of the optimization.
+	coldRep := injecttest.Reference(b, c2.target, c2.golden.Trace, plan)
+	coldSerial := scalarRun(b, &coldTgt, c2.golden, plan, coldRep)
+	warmSerial := scalarRun(b, &warmTgt, warmGolden, plan, coldRep)
+	// Byte-identity of the campaign engine on the warm golden at every
+	// tested worker count against the cold scalar reference — the
+	// acceptance contract of the optimization.
 	for _, workers := range []int{1, 2, 4, 8} {
 		rep, err := warmTgt.RunParallel(warmGolden, plan, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if !reflect.DeepEqual(coldRep, rep) {
-			b.Fatalf("workers=%d: warm-start report differs from cold serial", workers)
+			b.Fatalf("workers=%d: warm-start report differs from the cold scalar reference", workers)
 		}
 	}
 	once("E19", func() {
 		fmt.Printf("\n[E19] golden-snapshot warm start: %d experiments, cadence 16, %d-cycle trace\n",
 			len(plan), cycles)
-		fmt.Printf("[E19] cold serial %.2fs vs warm serial %.2fs — %.2fx (reports bit-identical at workers 1,2,4,8)\n",
+		fmt.Printf("[E19] cold scalar %.2fs vs warm scalar %.2fs — %.2fx (reports bit-identical at workers 1,2,4,8)\n",
 			coldSerial.Seconds(), warmSerial.Seconds(),
 			coldSerial.Seconds()/warmSerial.Seconds())
 	})
@@ -851,9 +862,7 @@ func BenchmarkE19_WarmStart(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mode.tgt.Run(mode.g, plan); err != nil {
-					b.Fatal(err)
-				}
+				scalarRun(b, mode.tgt, mode.g, plan, coldRep)
 			}
 			perExp := b.Elapsed().Seconds() / float64(b.N*len(plan))
 			b.ReportMetric(1/perExp, "exp/s")
@@ -866,9 +875,11 @@ func BenchmarkE19_WarmStart(b *testing.B) {
 // compiles the netlist to flat bytecode (internal/simc) and packs up to
 // 64 experiments into the bit-lanes of one machine word, all restored
 // from the same golden snapshot and stepped in lockstep. The acceptance
-// contract: the merged report stays bit-identical to the cold serial
+// contract: the merged report stays bit-identical to the cold scalar
 // reference at every lanes × workers combination, and single-core
-// throughput gains ≥10× over the E19 warm-start serial baseline. ----------
+// throughput gains ≥10× over the E19 warm-start baseline on the scalar
+// reference runner. Every campaign runs this way; the scalar column is
+// what it replaced. ----------
 
 func BenchmarkE20_CompiledLanes(b *testing.B) {
 	c2 := campaign(b, true)
@@ -881,8 +892,7 @@ func BenchmarkE20_CompiledLanes(b *testing.B) {
 		plan[i].Cycle = i * (cycles - 1) / max(len(plan)-1, 1)
 	}
 
-	coldTgt := *c2.target // never mutate the shared cached fixture
-	warmTgt := *c2.target
+	warmTgt := *c2.target // never mutate the shared cached fixture
 	warmTgt.SnapshotEvery = 16
 	warmGolden, err := warmTgt.RunGolden(c2.golden.Trace)
 	if err != nil {
@@ -891,26 +901,19 @@ func BenchmarkE20_CompiledLanes(b *testing.B) {
 	laneTgt := warmTgt
 	laneTgt.Lanes = 64
 
-	coldRep, err := coldTgt.Run(c2.golden, plan)
-	if err != nil {
-		b.Fatal(err)
-	}
+	coldRep := injecttest.Reference(b, c2.target, c2.golden.Trace, plan)
+	warmSerial := scalarRun(b, &warmTgt, warmGolden, plan, coldRep) // the E19 baseline this must beat
 	start := time.Now()
-	if _, err := warmTgt.Run(warmGolden, plan); err != nil {
-		b.Fatal(err)
-	}
-	warmSerial := time.Since(start) // the E19 baseline this must beat
-	start = time.Now()
 	laneRep, err := laneTgt.Run(warmGolden, plan)
 	if err != nil {
 		b.Fatal(err)
 	}
 	laneSerial := time.Since(start)
 	if !reflect.DeepEqual(coldRep, laneRep) {
-		b.Fatal("64-lane report differs from cold serial report")
+		b.Fatal("64-lane report differs from the cold scalar reference")
 	}
 	// Byte-identity across the full lanes × workers acceptance matrix
-	// against the cold serial reference.
+	// against the cold scalar reference.
 	for _, lanes := range []int{1, 8, 64} {
 		for _, workers := range []int{1, 2, 4, 8} {
 			tgt := laneTgt
@@ -921,34 +924,33 @@ func BenchmarkE20_CompiledLanes(b *testing.B) {
 				b.Fatal(err)
 			}
 			if !reflect.DeepEqual(coldRep, rep) {
-				b.Fatalf("lanes=%d workers=%d: report differs from cold serial", lanes, workers)
+				b.Fatalf("lanes=%d workers=%d: report differs from the cold scalar reference", lanes, workers)
 			}
 		}
 	}
 	speedup := warmSerial.Seconds() / laneSerial.Seconds()
 	once("E20", func() {
-		fmt.Printf("\n[E20] compiled 64-lane kernel: %d experiments, warm serial %.2fs vs 64-lane %.3fs\n",
+		fmt.Printf("\n[E20] compiled 64-lane kernel: %d experiments, warm scalar %.2fs vs 64-lane %.3fs\n",
 			len(plan), warmSerial.Seconds(), laneSerial.Seconds())
 		fmt.Printf("[E20] — %.1fx single-core over the E19 warm-start baseline (target ≥10x;\n", speedup)
 		fmt.Printf("[E20] reports bit-identical at lanes 1,8,64 × workers 1,2,4,8)\n")
 	})
-	for _, mode := range []struct {
-		name string
-		tgt  *inject.Target
-	}{
-		{"warm-serial", &warmTgt},
-		{"lanes=64", &laneTgt},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mode.tgt.Run(warmGolden, plan); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("warm-scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			scalarRun(b, &warmTgt, warmGolden, plan, coldRep)
+		}
+		perExp := b.Elapsed().Seconds() / float64(b.N*len(plan))
+		b.ReportMetric(1/perExp, "exp/s")
+	})
+	b.Run("lanes=64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := laneTgt.Run(warmGolden, plan); err != nil {
+				b.Fatal(err)
 			}
-			perExp := b.Elapsed().Seconds() / float64(b.N*len(plan))
-			b.ReportMetric(1/perExp, "exp/s")
-		})
-	}
+		}
+		perExp := b.Elapsed().Seconds() / float64(b.N*len(plan))
+		b.ReportMetric(1/perExp, "exp/s")
+	})
 	b.ReportMetric(speedup, "speedup")
 }
 

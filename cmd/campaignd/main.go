@@ -82,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	local := fs.Bool("local", true, "run ranges in-process while no live worker exists (graceful degradation)")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers for -local in-process execution")
 	warmstart := fs.Int("warmstart", 0, "golden snapshot cadence for local execution (0 = cold start; results are identical)")
-	lanes := fs.Int("lanes", 1, "bit-parallel lanes for local execution, 1..64 (results are identical)")
 	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass for local execution (results are identical)")
 	tol := fs.Float64("tol", 0.35, "estimate-vs-measured tolerance")
 	out := fs.String("out", "", "also write the canonical campaign report (the distributed byte-identity surface) to this file")
@@ -124,8 +123,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageErr("-workers must be >= 0, got %d", *workers)
 	case *warmstart < 0:
 		return usageErr("-warmstart must be >= 0, got %d", *warmstart)
-	case *lanes < 1 || *lanes > 64:
-		return usageErr("-lanes must be in 1..64, got %d", *lanes)
 	case *transient < 0 || *permanent < 0 || *wide < 0:
 		return usageErr("experiment counts must be >= 0")
 	case *progressEvery < 0:
@@ -209,7 +206,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fatal(err)
 	}
-	c.Target.Lanes = *lanes
 	c.Target.Collapse = *collapse
 	c.Target.Supervision = inject.Supervision{Clock: time.Now, Quarantine: true}
 	c.Target.Telemetry = tel

@@ -26,7 +26,7 @@ func main() {
 	addrWidth := flag.Int("addr", 8, "address width for metrics (validation always runs at this size)")
 	target := flag.Int("target", 3, "target SIL (1-4)")
 	hft := flag.Int("hft", 0, "hardware fault tolerance")
-	validate := flag.Bool("validate", false, "run the full fault-injection validation (slow)")
+	validate := flag.Bool("validate", false, "run the full fault-injection validation")
 	srs := flag.Bool("srs", false, "also print the Safety Requirements Specification extract")
 	transient := flag.Int("transient", 1, "transient experiments per zone")
 	permanent := flag.Int("permanent", 1, "permanent experiments per zone")

@@ -3,15 +3,12 @@
 // profile-guided fault list, per-zone measured S/DDF, coverage items,
 // effect-table consistency and the cross-check against the worksheet.
 //
-// With -warmstart N the golden run captures a state snapshot every N
-// cycles and each experiment resumes from the snapshot at-or-before its
+// Every worker runs up to 64 experiments bit-parallel in one machine
+// word on the compiled simulation kernel (internal/simc). With
+// -warmstart N the golden run captures a state snapshot every N cycles
+// and each batch resumes from the snapshot at-or-before its earliest
 // injection cycle instead of simulating from cycle 0; the report is
 // byte-identical to a cold-start run.
-//
-// With -lanes L (2..64) each worker runs up to L experiments
-// bit-parallel in one machine word on the compiled simulation kernel
-// (internal/simc); the report is byte-identical to the serial path for
-// any workers x lanes combination.
 //
 // With -collapse the static fault-analysis pre-pass (internal/
 // statfault) runs before the campaign: experiments with a statically
@@ -110,9 +107,8 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	permanent := fs.Int("permanent", 3, "permanent experiments per zone")
 	wide := fs.Int("wide", 12, "wide/global fault experiments")
 	seed := fs.Uint64("seed", 1, "campaign seed")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel campaign workers (1 = serial; results are identical)")
+	workers := fs.Int("workers", runtime.NumCPU(), "parallel campaign workers (results are identical)")
 	warmstart := fs.Int("warmstart", 0, "golden snapshot cadence in cycles for warm-started experiments (0 = cold start; results are identical)")
-	lanes := fs.Int("lanes", 1, "bit-parallel simulation lanes per worker, 1..64 (compiled kernel; results are identical)")
 	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass: prune statically-provable experiments and simulate one representative per equivalence class (results are identical)")
 	tol := fs.Float64("tol", 0.35, "estimate-vs-measured tolerance")
 	vcd := fs.String("vcd", "", "record golden + first-undetected-fault waveforms to <prefix>_{golden,faulty}.vcd")
@@ -121,7 +117,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	checkpointEvery := fs.Int("checkpoint-every", 16, "completed experiments between checkpoint writes")
 	resume := fs.Bool("resume", false, "resume from -checkpoint; the merged report is byte-identical to an uninterrupted run")
 	cycleBudget := fs.Int("exp-cycle-budget", 0, "max simulated cycles per experiment (0 = unlimited; exceeding aborts the experiment)")
-	expTimeout := fs.Duration("exp-timeout", 0, "max wall-clock per experiment (0 = unlimited; nondeterministic last-resort hang guard)")
+	expTimeout := fs.Duration("exp-timeout", 0, "max wall-clock per lane batch of up to 64 experiments (0 = unlimited; nondeterministic last-resort hang guard)")
 	retries := fs.Int("retries", 0, "retry a failing experiment up to N more times before quarantining it")
 	requireCoverage := fs.Bool("require-coverage", true, "exit 4 when campaign coverage is incomplete")
 	journalPath := fs.String("journal", "", "write the JSONL campaign journal (lifecycle events) to this file")
@@ -145,8 +141,6 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		return usageErr("-workers must be >= 0 (0 = serial), got %d", *workers)
 	case *warmstart < 0:
 		return usageErr("-warmstart must be >= 0 (0 = cold start), got %d", *warmstart)
-	case *lanes < 1 || *lanes > 64:
-		return usageErr("-lanes must be in 1..64, got %d", *lanes)
 	case *cycleBudget < 0:
 		return usageErr("-exp-cycle-budget must be >= 0, got %d", *cycleBudget)
 	case *expTimeout < 0:
@@ -250,7 +244,6 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	target := d.InjectionTargetSeeded(a, d.SeedFaults())
 	target.Workers = *workers
 	target.SnapshotEvery = *warmstart
-	target.Lanes = *lanes
 	target.Collapse = *collapse
 	target.Supervision = inject.Supervision{
 		CycleBudget:     *cycleBudget,
@@ -359,10 +352,9 @@ func runWorker(args []string, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers inside one leased range (results are identical)")
 	warmstart := fs.Int("warmstart", 0, "golden snapshot cadence in cycles (0 = cold start; results are identical)")
-	lanes := fs.Int("lanes", 1, "bit-parallel simulation lanes per worker, 1..64 (results are identical)")
 	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass (results are identical)")
 	cycleBudget := fs.Int("exp-cycle-budget", 0, "max simulated cycles per experiment (0 = unlimited)")
-	expTimeout := fs.Duration("exp-timeout", 0, "max wall-clock per experiment (0 = unlimited)")
+	expTimeout := fs.Duration("exp-timeout", 0, "max wall-clock per lane batch of up to 64 experiments (0 = unlimited)")
 	retries := fs.Int("retries", 0, "retry a failing experiment up to N more times before quarantining it")
 	tracePath := fs.String("trace", "", "write the JSONL span journal to this file; lease spans parent under the coordinator's trace (analyze with cmd/tracer)")
 	if err := fs.Parse(args); err != nil {
@@ -383,8 +375,6 @@ func runWorker(args []string, stderr io.Writer) int {
 		return usageErr("-workers must be >= 0, got %d", *workers)
 	case *warmstart < 0:
 		return usageErr("-warmstart must be >= 0, got %d", *warmstart)
-	case *lanes < 1 || *lanes > 64:
-		return usageErr("-lanes must be in 1..64, got %d", *lanes)
 	case *heartbeat <= 0:
 		return usageErr("-heartbeat must be > 0, got %v", *heartbeat)
 	case *cycleBudget < 0 || *expTimeout < 0 || *retries < 0:
@@ -413,7 +403,6 @@ func runWorker(args []string, stderr io.Writer) int {
 		lg.Print(err)
 		return 1
 	}
-	c.Target.Lanes = *lanes
 	c.Target.Collapse = *collapse
 	c.Target.Supervision = inject.Supervision{
 		CycleBudget: *cycleBudget,

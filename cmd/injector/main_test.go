@@ -20,11 +20,9 @@ func TestExitCodes(t *testing.T) {
 		{"unknown design", []string{"-design", "nope"}, 2},
 		{"unknown flag", []string{"-frobnicate"}, 2},
 		{"negative workers", []string{"-design", "v1", "-workers", "-1"}, 2},
-		{"lanes out of range", []string{"-design", "v1", "-lanes", "65"}, 2},
 		{"resume without checkpoint", []string{"-design", "v1", "-resume"}, 2},
 		{"worker without transport", []string{"worker", "-design", "v1"}, 2},
 		{"worker with both transports", []string{"worker", "-connect", "127.0.0.1:1", "-stdio"}, 2},
-		{"worker lanes out of range", []string{"worker", "-stdio", "-lanes", "0"}, 2},
 		{"worker bad heartbeat", []string{"worker", "-stdio", "-heartbeat", "0s"}, 2},
 		{"worker unknown flag", []string{"worker", "-frobnicate"}, 2},
 		{"worker unknown design", []string{"worker", "-stdio", "-design", "nope"}, 2},

@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	queue := fs.Int("queue", 64, "bounded FIFO submission queue depth (overflow answers 429)")
 	jobs := fs.Int("jobs", 1, "job worker pool size (concurrent assessments)")
 	engineWorkers := fs.Int("engine-workers", runtime.NumCPU(), "injection-campaign goroutines per job (byte-neutral)")
-	lanes := fs.Int("lanes", 1, "word-parallel kernel lanes per job, 1..64 (byte-neutral)")
 	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass per job (byte-neutral)")
 	cacheCap := fs.Int("cache", 256, "content-addressed result cache entries (negative disables)")
 	jobsCap := fs.Int("jobs-cap", 1024, "job table retention: oldest finished jobs evicted past this many (negative disables)")
@@ -90,8 +89,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return usageErr("-queue must be >= 1, got %d", *queue)
 	case *jobs < 1:
 		return usageErr("-jobs must be >= 1, got %d", *jobs)
-	case *lanes < 1 || *lanes > 64:
-		return usageErr("-lanes must be in 1..64, got %d", *lanes)
 	}
 
 	addr := *listen
@@ -108,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		QueueDepth:     *queue,
 		Workers:        *jobs,
 		EngineWorkers:  *engineWorkers,
-		EngineLanes:    *lanes,
 		EngineCollapse: *collapse,
 		CacheCap:       *cacheCap,
 		JobsCap:        *jobsCap,

@@ -16,7 +16,6 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-queue", "0"},
 		{"-jobs", "0"},
-		{"-lanes", "65"},
 		{"-no-such-flag"},
 	} {
 		var out, errBuf bytes.Buffer

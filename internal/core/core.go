@@ -69,10 +69,11 @@ type Options struct {
 	// aborts the flow, as before.
 	Supervision inject.Supervision
 	// Workers/Lanes/Collapse are the engine throughput knobs threaded
-	// onto the injection target (goroutine sharding, word-parallel
-	// lanes, static collapse). All three are byte-neutral: the report
-	// is bit-identical at any setting, so services may tune them per
-	// deployment without voiding certification identity.
+	// onto the injection target (goroutine sharding, lane-batch width
+	// with 0 meaning the full 64, static collapse). All three are
+	// byte-neutral: the report is bit-identical at any setting, so
+	// services may tune them per deployment without voiding
+	// certification identity.
 	Workers  int
 	Lanes    int
 	Collapse bool

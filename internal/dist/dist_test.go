@@ -15,6 +15,7 @@ import (
 	"repro/internal/fmea"
 	"repro/internal/frcpu"
 	"repro/internal/inject"
+	"repro/internal/injecttest"
 	"repro/internal/telemetry"
 	"repro/internal/zones"
 )
@@ -110,18 +111,12 @@ func sample(plan []inject.Injection) []inject.Injection {
 	return out
 }
 
-// serialReference runs the campaign through the single-process serial
-// engine — the byte-identity reference every distributed topology must
-// reproduce.
+// serialReference is the byte-identity reference every distributed
+// topology must reproduce: the scalar reference campaign, one row at a
+// time on the interpreted simulator.
 func serialReference(t testing.TB, c campaign) *inject.Report {
 	t.Helper()
-	tgt := *c.target
-	tgt.Workers = 1
-	rep, err := tgt.Run(c.golden, c.plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
+	return injecttest.Reference(t, c.target, c.golden.Trace, c.plan)
 }
 
 // renderReport captures the canonical report bytes.

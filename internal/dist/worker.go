@@ -50,8 +50,8 @@ type WorkerConfig struct {
 // campaign is prepared once, before hello — the fingerprint sent there
 // comes from it — so a lease costs its rows, not the plan. Each lease
 // runs through the full supervised engine (Prepared.RunRange), so
-// watchdogs, retries, per-experiment quarantine, lanes and collapse
-// all apply within the range; a heartbeat goroutine keeps the lease
+// watchdogs, retries, per-experiment quarantine, batch width and
+// collapse all apply within the range; a heartbeat goroutine keeps the lease
 // alive for as long as the range takes. Returns nil on a clean fin.
 func RunWorker(rw io.ReadWriteCloser, cfg WorkerConfig) error {
 	conn := NewConn(rw)

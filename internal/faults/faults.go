@@ -57,6 +57,18 @@ const (
 	SiteFF
 )
 
+func (s SiteKind) String() string {
+	switch s {
+	case SiteNet:
+		return "net"
+	case SitePin:
+		return "pin"
+	case SiteFF:
+		return "flip-flop"
+	}
+	return fmt.Sprintf("SiteKind(%d)", uint8(s))
+}
+
 // Fault is one injectable physical fault.
 type Fault struct {
 	Kind Kind

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/frcpu"
 	"repro/internal/inject"
+	"repro/internal/injecttest"
 	"repro/internal/netlist"
 )
 
@@ -35,18 +36,14 @@ func cpuCampaign(t *testing.T) (*inject.Target, *inject.Golden, []inject.Injecti
 		t.Fatal(err)
 	}
 	plan := inject.BuildPlan(a, g, inject.PlanConfig{TransientPerZone: 1, PermanentPerZone: 1, Seed: 3})
-	var sampled []inject.Injection
-	for i := 0; i < len(plan); i += 3 {
-		sampled = append(sampled, plan[i])
-	}
-	return target, g, sampled
+	return target, g, stride(plan, 3)
 }
 
 // TestCheckpointResumeByteIdentity is the core determinism contract of
 // the supervision layer: kill a campaign at 0%, 50% or 99% of the plan,
 // resume it from the checkpoint at 1, 2 or 8 workers, and the merged
-// report must be byte-identical to an uninterrupted serial run — on
-// both the memory sub-system and the CPU case study.
+// report must be byte-identical to the scalar reference — on both the
+// memory sub-system and the CPU case study.
 func TestCheckpointResumeByteIdentity(t *testing.T) {
 	fixtures := []struct {
 		name    string
@@ -60,10 +57,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			target, g, plan := fx.fixture(t)
-			ref, err := target.Run(g, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := injecttest.Reference(t, target, g.Trace, plan)
 			refRender := fmt.Sprintf("%#v", ref)
 			for _, workers := range []int{1, 2, 8} {
 				for _, kill := range []float64{0, 0.5, 0.99} {
@@ -82,6 +76,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 							}
 							tgt := *target
 							tgt.Workers = workers
+							tgt.Lanes = 1 // the stop lands on a row, not on a batch of them
 							tgt.Supervision = inject.Supervision{
 								Checkpoint: path, CheckpointEvery: 1, StopAfter: stopAfter,
 							}
@@ -98,10 +93,10 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 							t.Fatalf("resume: %v", err)
 						}
 						if !reflect.DeepEqual(ref, rep) {
-							t.Fatal("resumed report differs from the uninterrupted serial report")
+							t.Fatal("resumed report differs from the scalar reference")
 						}
 						if fmt.Sprintf("%#v", rep) != refRender {
-							t.Fatal("resumed report renders differently from the uninterrupted serial report")
+							t.Fatal("resumed report renders differently from the scalar reference")
 						}
 						// The final checkpoint holds the whole campaign:
 						// resuming again replays nothing and still matches.
@@ -124,10 +119,7 @@ func TestCheckpointResumeByteIdentity(t *testing.T) {
 // relaunch share one command line.
 func TestResumeMissingFileIsFreshStart(t *testing.T) {
 	target, g, plan := reducedCampaign(t, false)
-	ref, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := injecttest.Reference(t, target, g.Trace, plan)
 	tgt := *target
 	tgt.Supervision = inject.Supervision{
 		Checkpoint: filepath.Join(t.TempDir(), "never-written.ckpt"),
@@ -138,7 +130,7 @@ func TestResumeMissingFileIsFreshStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref, rep) {
-		t.Fatal("fresh-start resume differs from a plain run")
+		t.Fatal("fresh-start resume differs from the scalar reference")
 	}
 }
 

@@ -2,16 +2,13 @@ package inject_test
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/frcpu"
 	"repro/internal/inject"
+	"repro/internal/injecttest"
 	"repro/internal/randckt"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -41,149 +38,6 @@ func collapsiblePlan(g *inject.Golden, plan []inject.Injection) []inject.Injecti
 	return out
 }
 
-// TestCollapseNeutralityMatrix is the determinism contract of the
-// static fault-analysis pre-pass: with Collapse on, statically
-// classified rows skip simulation and equivalence-class members
-// inherit their representative's outcome, yet the merged report must
-// stay byte-identical to the uncollapsed serial reference — across
-// worker and lane counts, on both case studies, and across a
-// mid-campaign checkpoint resume.
-func TestCollapseNeutralityMatrix(t *testing.T) {
-	for _, v2 := range []bool{false, true} {
-		name := "v1"
-		if v2 {
-			name = "v2"
-		}
-		t.Run(name, func(t *testing.T) {
-			target, g, base := reducedCampaign(t, v2)
-			plan := collapsiblePlan(g, base)
-			ref, err := target.Run(g, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refRender := fmt.Sprintf("%#v", ref)
-
-			for _, lanes := range []int{1, 64} {
-				for _, workers := range []int{1, 8} {
-					t.Run(fmt.Sprintf("lanes=%d/workers=%d", lanes, workers), func(t *testing.T) {
-						tgt := *target
-						tgt.Collapse = true
-						tgt.Lanes = lanes
-						tgt.Workers = workers
-						rep, err := tgt.Run(g, plan)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(ref, rep) {
-							t.Fatal("collapsed report differs from uncollapsed serial reference")
-						}
-						if fmt.Sprintf("%#v", rep) != refRender {
-							t.Fatal("collapsed report renders differently from reference")
-						}
-					})
-				}
-			}
-
-			t.Run("resume", func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "campaign.ckpt")
-				tgt := *target
-				tgt.Collapse = true
-				tgt.Workers = 8
-				tgt.Supervision = inject.Supervision{
-					Checkpoint: path, CheckpointEvery: 1, StopAfter: len(base) / 2,
-				}
-				if _, err := tgt.Run(g, plan); !errors.Is(err, inject.ErrCampaignStopped) {
-					t.Fatalf("interrupted run: got %v, want ErrCampaignStopped", err)
-				}
-				// Resume without collapse: the checkpoint carries plain
-				// completed rows, so the pre-pass is a per-process choice.
-				tgt = *target
-				tgt.Workers = 8
-				tgt.Supervision = inject.Supervision{Checkpoint: path, Resume: true}
-				rep, err := tgt.Run(g, plan)
-				if err != nil {
-					t.Fatalf("resume: %v", err)
-				}
-				if !reflect.DeepEqual(ref, rep) {
-					t.Fatal("collapsed+resumed report differs from reference")
-				}
-				if fmt.Sprintf("%#v", rep) != refRender {
-					t.Fatal("collapsed+resumed report renders differently")
-				}
-			})
-
-			t.Run("warm", func(t *testing.T) {
-				wtgt, wg := warmGolden(t, target, g, 8)
-				wtgt.Collapse = true
-				wtgt.Lanes = 64
-				wtgt.Workers = 8
-				rep, err := wtgt.Run(wg, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ref, rep) {
-					t.Fatal("collapsed warm-start report differs from reference")
-				}
-				if fmt.Sprintf("%#v", rep) != refRender {
-					t.Fatal("collapsed warm-start report renders differently")
-				}
-			})
-		})
-	}
-}
-
-// TestCollapseLockstepCPU extends the neutrality contract to the third
-// case study: the lockstep fault-robust CPU, whose comparator-heavy
-// netlist and duplicated cores exercise cones and equivalence classes a
-// memory datapath never produces. Collapsed runs at every lane/worker
-// combination must match the uncollapsed serial reference exactly.
-func TestCollapseLockstepCPU(t *testing.T) {
-	d, err := frcpu.Build(frcpu.LockstepConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := d.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := d.InjectionTarget(a)
-	g, err := target.RunGolden(d.Workload(120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := inject.BuildPlan(a, g, inject.PlanConfig{TransientPerZone: 1, PermanentPerZone: 1, Seed: 3})
-	var sampled []inject.Injection
-	for i := 0; i < len(base); i += 3 {
-		sampled = append(sampled, base[i])
-	}
-	plan := collapsiblePlan(g, sampled)
-	ref, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refRender := fmt.Sprintf("%#v", ref)
-	for _, lanes := range []int{1, 64} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("lanes=%d/workers=%d", lanes, workers), func(t *testing.T) {
-				tgt := *target
-				tgt.Collapse = true
-				tgt.Lanes = lanes
-				tgt.Workers = workers
-				rep, err := tgt.Run(g, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ref, rep) {
-					t.Fatal("collapsed lockstep-CPU report differs from uncollapsed serial reference")
-				}
-				if fmt.Sprintf("%#v", rep) != refRender {
-					t.Fatal("collapsed lockstep-CPU report renders differently from reference")
-				}
-			})
-		}
-	}
-}
-
 // TestCollapseTelemetryNonVacuity pins the new counters: the pre-pass
 // must actually prune and collapse on the extended plan (which carries
 // guaranteed duplicates and one past-the-trace row), the inherited
@@ -192,10 +46,7 @@ func TestCollapseLockstepCPU(t *testing.T) {
 func TestCollapseTelemetryNonVacuity(t *testing.T) {
 	target, g, base := reducedCampaign(t, true)
 	plan := collapsiblePlan(g, base)
-	ref, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := injecttest.Reference(t, target, g.Trace, plan)
 	tgt, tel, journal := instrumented(target)
 	tgt.Collapse = true
 	tgt.Workers = 4
@@ -239,15 +90,12 @@ func TestCollapseTelemetryNonVacuity(t *testing.T) {
 // known equivalence class: the plan ends in three verbatim copies of
 // row 0, and the range holds only the copies, so the class
 // representative lies outside it. The first copy must stand in —
-// simulated once, on a lane when lanes are on — and the other two
-// inherit from it; the bytes must be the serial rows.
+// simulated once, on a lane — and the other two inherit from it; the
+// bytes must be the reference rows.
 func TestCollapseRangeBoundaryInsideClass(t *testing.T) {
 	target, g, base := reducedCampaign(t, true)
 	plan := append(append([]inject.Injection(nil), base...), base[0], base[0], base[0])
-	ref, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := injecttest.Reference(t, target, g.Trace, plan)
 	lo, hi := len(base), len(plan)
 	want := inject.EncodeCheckpoint(serialRows(ref, lo, hi), plan)
 	for _, lanes := range []int{1, 64} {
@@ -259,23 +107,20 @@ func TestCollapseRangeBoundaryInsideClass(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := inject.EncodeCheckpoint(ck, plan); !bytes.Equal(got, want) {
-			t.Fatalf("lanes=%d: range inside the class differs from the serial rows", lanes)
+			t.Fatalf("lanes=%d: range inside the class differs from the reference rows", lanes)
 		}
 		for name, want := range map[string]int64{
-			"faults_collapsed": 3, "exp_started": 1, "outcomes_inherited": 2,
+			"faults_collapsed": 3, "exp_started": 1, "outcomes_inherited": 2, "batches": 1,
 		} {
 			if got := tel.Registry.Counter(name).Load(); got != want {
 				t.Errorf("lanes=%d: %s = %d, want %d", lanes, name, got, want)
 			}
 		}
-		if got := tel.Registry.Counter("batches").Load(); got != int64(lanes/64) {
-			t.Errorf("lanes=%d: stand-in made %d lane batches, want %d", lanes, got, lanes/64)
-		}
 	}
 }
 
-// TestCollapsePropertyRandomCircuits compares collapsed and serial
-// campaign reports over random circuits, with the planner's fault mix
+// TestCollapsePropertyRandomCircuits compares collapsed campaign
+// reports with the scalar reference over random circuits, with the planner's fault mix
 // extended by hand-written pin stuck-ats (exercising the unconditional
 // pin-to-output equivalence rules), a released stuck-at, bridging
 // faults (never collapsed, only deduplicated) and exact duplicates.
@@ -311,10 +156,7 @@ func TestCollapsePropertyRandomCircuits(t *testing.T) {
 			inject.Injection{Zone: 0, Fault: faults.NetSA(g1.Output, true), Cycle: 3, Duration: 4, Mode: "released"},
 		)
 		plan = collapsiblePlan(g, plan)
-		serial, err := target.Run(g, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := injecttest.Reference(t, target, tr, plan)
 		for _, lanes := range []int{1, 64} {
 			ctgt := *target
 			ctgt.Collapse = true
@@ -324,7 +166,7 @@ func TestCollapsePropertyRandomCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(serial, collapsed) {
-				t.Fatalf("seed %d lanes %d: collapsed verdicts differ from serial", seed, lanes)
+				t.Fatalf("seed %d lanes %d: collapsed verdicts differ from the scalar reference", seed, lanes)
 			}
 		}
 	}

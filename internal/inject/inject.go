@@ -30,9 +30,10 @@ import (
 type Target struct {
 	Analysis *zones.Analysis
 	// NewInstance returns a ready simulator; called once for the golden
-	// run and once per injection. When Workers != 0 it is called from
-	// several goroutines concurrently, so the factory must not share
-	// mutable state between instances.
+	// run and once per injection (the campaign takes the instance's
+	// peripherals and start-up state for the experiment's lane). When
+	// Workers != 0 it is called from several goroutines concurrently, so
+	// the factory must not share mutable state between instances.
 	NewInstance func() (*sim.Simulator, error)
 	// Workers shards Run across this many goroutines (0 = serial,
 	// negative = runtime.NumCPU()); the merged report is bit-identical
@@ -48,16 +49,13 @@ type Target struct {
 	// report is byte-identical with it on or off (see the neutrality
 	// matrix test).
 	Telemetry *telemetry.Campaign
-	// Lanes > 1 enables the compiled word-parallel kernel
-	// (internal/simc): up to Lanes experiments (max 64) restore from the
-	// same golden snapshot and run in lockstep, one per bit-lane of a
-	// machine word, with per-lane fault masks and per-lane monitor
-	// retirement. The merged report stays bit-identical to the serial
-	// path for any (Workers x Lanes) combination — lanes are a pure
-	// throughput knob, like Workers (see the lanes neutrality matrix
-	// test). Experiments the kernel cannot batch (and every experiment
-	// when the nondeterministic wall-clock watchdog is armed) fall back
-	// to the serial per-experiment path automatically.
+	// Lanes is the batch width of the campaign engine: up to Lanes
+	// experiments restore from the same golden snapshot and run in
+	// lockstep on the compiled kernel (internal/simc), one per bit-lane
+	// of a machine word, with per-lane fault masks and per-lane monitor
+	// retirement. <= 0 or > 64 means 64; 1 is one experiment per batch.
+	// The report is bit-identical for any (Workers x Lanes) combination
+	// (see the neutrality matrix test).
 	Lanes int
 	// Collapse enables the static fault-analysis pre-pass
 	// (internal/statfault) before simulation: rows whose verdict is
@@ -67,17 +65,17 @@ type Target struct {
 	// outcome copied onto every class member during the in-order
 	// merge. Like Workers and Lanes this is a pure throughput knob:
 	// the report stays byte-identical to the uncollapsed run (see the
-	// collapse neutrality matrix test). Automatically disabled while a
+	// neutrality matrix test). Automatically disabled while a
 	// wall-clock watchdog is armed.
 	Collapse bool
 	// SnapshotEvery is the golden-state snapshot cadence in cycles
 	// (0 = no snapshots, every faulty run starts cold at cycle 0).
 	// When set, RunGolden captures the simulator state every
-	// SnapshotEvery cycles and runOne warm-starts each experiment from
-	// the snapshot at-or-before its injection cycle. The faulty DUT is
-	// bit-identical to the golden one until the fault applies, so the
-	// report stays byte-identical to a cold start (see the warm-start
-	// neutrality matrix test).
+	// SnapshotEvery cycles and each lane batch warm-starts from the
+	// snapshot at-or-before its earliest injection cycle. The faulty DUT
+	// is bit-identical to the golden one until the fault applies, so the
+	// report stays byte-identical to a cold start (see the neutrality
+	// matrix test).
 	SnapshotEvery int
 }
 

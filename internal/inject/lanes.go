@@ -12,19 +12,30 @@ import (
 	"repro/internal/zones"
 )
 
-// This file is the word-parallel campaign path (Target.Lanes > 1): up
-// to 64 experiments share one compiled simc.Machine, one bit-lane each.
-// Every lane replays exactly the serial runOne protocol — warm start,
-// fault apply/remove after the edge, SENS/OBSE/DIAG monitors against
-// the golden traces, per-lane cycle-budget aborts and per-lane early
-// retirement — so the batch results demux into the same in-order merge
-// and the report stays bit-identical to the serial campaign.
+// This file is the experiment loop of the campaign engine: up to 64
+// experiments share one compiled simc.Machine, one bit-lane each. Every
+// lane follows the protocol of the scalar reference (Target.RunOne) —
+// warm start, fault apply/remove after the edge, SENS/OBSE/DIAG
+// monitors against the golden traces, per-lane cycle-budget aborts and
+// per-lane early retirement — so the batch results demux into the
+// in-order merge and the report does not depend on the batch width.
 
-// batchable reports whether the compiled kernel can host the injection
-// in a lane. Every fault model the planners emit qualifies; anything
-// unknown runs on the serial per-experiment path instead.
-func batchable(inj Injection) bool {
-	f := inj.Fault
+// UnsupportedFaultError is the failure of a plan row whose fault the
+// lane kernel has no model for. Every fault the planners emit has one;
+// a hand-written row that does not fails like any other experiment,
+// under the campaign's retry/quarantine policy.
+type UnsupportedFaultError struct {
+	Kind faults.Kind
+	Site faults.SiteKind
+}
+
+func (e *UnsupportedFaultError) Error() string {
+	return fmt.Sprintf("inject: the lane kernel has no model for a %v fault at a %v site", e.Kind, e.Site)
+}
+
+// batchable reports whether the compiled kernel can host the fault in a
+// lane.
+func batchable(f faults.Fault) bool {
 	switch f.Kind {
 	case faults.SA0, faults.SA1:
 		return f.Site == faults.SiteNet || f.Site == faults.SitePin
@@ -38,15 +49,23 @@ func batchable(inj Injection) bool {
 	return false
 }
 
+// laneWidth is the batch width Target.Lanes selects: the 64 lanes of a
+// machine word unless a narrower one is asked for.
+func laneWidth(lanes int) int {
+	if lanes <= 0 || lanes > 64 {
+		return 64
+	}
+	return lanes
+}
+
 // buildUnits partitions the pending plan indices of the span into work
-// units: each unbatchable experiment is its own unit; batchable ones
-// are sorted by (injection cycle, plan index) — so the
-// lanes of one batch want the same golden snapshot — and chunked into
-// units of up to lanes members. Units are ordered by their lowest plan
-// index, approximating the ascending claim order of the per-experiment
-// cursor. Rows the static pre-pass collapsed onto an in-span row
-// (from[k] >= 0; from is nil without the pre-pass) are excluded: they
-// inherit their result after the drain instead of occupying a lane.
+// units: sorted by (injection cycle, plan index) — so the lanes of one
+// batch want the same golden snapshot — and chunked into units of up to
+// lanes members. Units are ordered by their lowest plan index, so the
+// claim cursor hands rows out in roughly ascending order. Rows the
+// static pre-pass collapsed onto an in-span row (from[k] >= 0; from is
+// nil without the pre-pass) are excluded: they inherit their result
+// after the drain instead of occupying a lane.
 func buildUnits(st *campaignState, plan []Injection, lanes int, from []int) [][]int {
 	var units [][]int
 	var batch []int
@@ -54,12 +73,7 @@ func buildUnits(st *campaignState, plan []Injection, lanes int, from []int) [][]
 		if st.slots[k].done || from != nil && from[k] >= 0 {
 			continue
 		}
-		i := st.lo + k
-		if batchable(plan[i]) {
-			batch = append(batch, i)
-		} else {
-			units = append(units, []int{i})
-		}
+		batch = append(batch, st.lo+k)
 	}
 	sort.Slice(batch, func(x, y int) bool {
 		a, b := batch[x], batch[y]
@@ -89,14 +103,18 @@ func minIndex(unit []int) int {
 	return m
 }
 
-// runBatchRecovered is runBatch with panic isolation, like
-// runRecovered: a failing batch is discarded whole and every member is
-// retried on the serial supervised path.
+// runBatchRecovered is runBatch with panic isolation (a diverging
+// peripheral model, an out-of-range fault site from a hand-written
+// plan): a failing batch is discarded whole, and the caller runs every
+// member again alone.
 func (p *Prepared) runBatchRecovered(idxs []int) (res []ExpResult, err error) {
+	tel := p.t.Telemetry
+	bsp := tel.BatchStart(len(idxs))
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("lane batch panic: %v", r)
 		}
+		tel.BatchDone(bsp, len(idxs))
 	}()
 	return p.runBatch(idxs)
 }
@@ -114,9 +132,9 @@ type laneExp struct {
 	hasBr  bool
 
 	// abortAt is the absolute trace cycle where the cooperative cycle
-	// budget fires for this lane (-1 = no budget). As in the serial
-	// path, the skipped warm-start prefix is charged to the budget, so
-	// the abort cycle is the same as a cold run's.
+	// budget fires for this lane (-1 = no budget). The skipped
+	// warm-start prefix is charged to the budget, so the abort cycle is
+	// the same as a cold run's.
 	abortAt int
 
 	effNets   []netlist.NetID
@@ -126,7 +144,7 @@ type laneExp struct {
 // runBatch executes up to 64 planned experiments in lockstep, one per
 // bit-lane of a compiled machine, and returns their results in idxs
 // order. Any error (or panic, via runBatchRecovered) means no result
-// was produced for any member; the caller reruns them serially.
+// was produced for any member.
 func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 	t, g, plan, ports := &p.t, p.g, p.plan, p.ports
 	a := t.Analysis
@@ -151,6 +169,8 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 		}
 		f := inj.Fault
 		switch {
+		case !batchable(f):
+			return nil, &UnsupportedFaultError{Kind: f.Kind, Site: f.Site}
 		case f.Kind == faults.Flip:
 			// State flips need no force point; FlipFF hits the lane mask.
 		case f.Kind == faults.BridgeAND || f.Kind == faults.BridgeOR:
@@ -177,8 +197,8 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 
 	// The batch resumes from the snapshot usable by its earliest
 	// injection; later lanes deterministically replay the golden prefix
-	// they would have skipped serially, which cannot change their
-	// results (the faulty DUT is golden until the fault applies).
+	// they would have skipped alone, which cannot change their results
+	// (the faulty DUT is golden until the fault applies).
 	snap := g.snapshotAtOrBefore(minCycle)
 	start := 0
 	if snap != nil {
@@ -208,8 +228,8 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 			}
 			m.LoadLane(k, snap.FFValues(), snap.ExtValues())
 		} else {
-			// Cold start: the lane begins exactly where a fresh serial
-			// instance would.
+			// Cold start: the lane begins exactly where a fresh instance
+			// would.
 			sn := s.Snapshot()
 			m.LoadLane(k, sn.FFValues(), sn.ExtValues())
 		}
@@ -218,8 +238,13 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 		sets[k] = func(id netlist.NetID, v sim.Value) { m.SetExt(lane, id, v) }
 	}
 
+	// Early retirement is behavior-preserving only when no watchdog can
+	// fire mid-run: a lane whose outcome is already pinned still returns
+	// Aborted when its budget expires, so with a live watchdog every lane
+	// keeps simulating to reproduce that verdict.
 	cb := t.Supervision.CycleBudget
-	earlyExitSafe := cb <= 0 || cb >= tr.Cycles()
+	earlyExitSafe := (cb <= 0 || cb >= tr.Cycles()) && !t.Supervision.wallArmed()
+	wallCheck := t.Supervision.wallChecker()
 
 	full := ^uint64(0) >> uint(64-lanes)
 	active := full
@@ -273,8 +298,14 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 
 	var stepped int64
 	for c := start; c < tr.Cycles() && active != 0; c++ {
-		// Cooperative watchdog, checked before the cycle is simulated —
-		// the same point the serial loop polls its budget.
+		// Cooperative watchdogs, checked before the cycle is simulated.
+		// The lanes run in lockstep, so a hang in one is a hang of the
+		// batch: the wall-clock guard covers the batch and aborts every
+		// lane still running.
+		if wallCheck(c) {
+			abortedLanes |= active
+			break
+		}
 		for k := range lcs {
 			lc := &lcs[k]
 			if active&lc.bit != 0 && lc.abortAt >= 0 && c >= lc.abortAt {
@@ -388,8 +419,8 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 			FirstDevCycle: firstDev[k],
 		}
 		if abortedLanes&lc.bit != 0 {
-			// An aborted lane keeps the partial monitor fields, like the
-			// serial abort return (no outcome switch, no flip override).
+			// An aborted lane keeps the partial monitor fields (no outcome
+			// switch, no flip override).
 			res.Outcome = Aborted
 		} else {
 			fd, dd := funcLanes&lc.bit != 0, diagLanes&lc.bit != 0

@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/inject"
+	"repro/internal/injecttest"
 )
 
 // TestQuarantineWithLanesAndCollapse: a panicking fault inside a
-// 64-lane word-parallel batch must retire only its own lane — the
-// other experiments packed into the same machine word keep their
-// verdicts — and the quarantine records must match the scalar engine
-// exactly, with and without the static collapse pre-pass, at any
-// worker count.
+// 64-lane batch must cost only its own row — the other experiments
+// packed into the same machine word keep the verdicts of the scalar
+// reference — and the quarantine records must name the poisoned rows,
+// with and without the static collapse pre-pass, at any worker count.
 func TestQuarantineWithLanesAndCollapse(t *testing.T) {
 	target, g, plan := reducedCampaign(t, true)
 	// Poison two rows that land in the same 64-lane batch (3 and 7)
@@ -21,16 +21,13 @@ func TestQuarantineWithLanesAndCollapse(t *testing.T) {
 	poison := []int{3, 7, len(plan) - 2}
 	poisoned := poisonPlan(plan, poison...)
 
-	// Scalar reference: lanes 1, no collapse, serial.
-	ref := *target
-	ref.Supervision = inject.Supervision{Quarantine: true, Retries: 2}
-	want, err := ref.Run(g, poisoned)
-	if err != nil {
-		t.Fatal(err)
+	// The reference covers the healthy rows: the poisoned ones panic on
+	// any engine and carry no verdict.
+	healthy := append([]inject.Injection(nil), plan...)
+	for k := len(poison) - 1; k >= 0; k-- {
+		healthy = append(healthy[:poison[k]], healthy[poison[k]+1:]...)
 	}
-	if len(want.Quarantined) != len(poison) {
-		t.Fatalf("scalar reference quarantined %d rows, want %d", len(want.Quarantined), len(poison))
-	}
+	want := injecttest.Reference(t, target, g.Trace, healthy)
 
 	for _, tc := range []struct {
 		name     string
@@ -64,15 +61,10 @@ func TestQuarantineWithLanesAndCollapse(t *testing.T) {
 					t.Fatalf("quarantine record %d: attempts = %d, want 3 (1 + 2 retries)", qi, q.Attempts)
 				}
 			}
-			// The batch survives the lane: every non-poisoned row keeps
-			// a verdict, and the whole report is identical to the
-			// scalar engine's — the poisoned lane is surgically
-			// removed, not the 64-wide batch around it.
-			if len(rep.Results) != len(plan)-len(poison) {
-				t.Fatalf("campaign kept %d results, want %d", len(rep.Results), len(plan)-len(poison))
-			}
-			if !reflect.DeepEqual(want, rep) {
-				t.Fatal("lane-parallel quarantine report differs from the scalar reference")
+			// Every non-poisoned row keeps its reference verdict: the
+			// poisoned row is removed, not the 64-wide batch around it.
+			if !reflect.DeepEqual(want.Results, rep.Results) || !reflect.DeepEqual(want.Coverage, rep.Coverage) {
+				t.Fatal("healthy rows differ from the scalar reference")
 			}
 			if !rep.Degraded() {
 				t.Fatal("report with quarantined rows must be Degraded")

@@ -112,21 +112,20 @@ func (st *campaignState) snapshot() *Checkpoint {
 
 // RunParallel executes the injection campaign sharded across workers
 // goroutines under the Target's Supervision policy. Each worker claims
-// experiments from a shared atomic cursor (dynamic load balancing —
+// lane batches from a shared atomic cursor (dynamic load balancing —
 // wide permanent faults simulate the whole trace while late transients
-// are cheap), runs each one on a fresh simulator instance from
+// are cheap), runs each one on a fresh machine with peripherals from
 // t.NewInstance, and reads the shared golden traces strictly
 // read-only. Results land in per-index slots and are merged in plan
-// order, so the report is bit-identical to the serial Run for any
-// worker count — including a run resumed from a checkpoint at any kill
-// point.
+// order, so the report is bit-identical for any worker count and batch
+// width — including a run resumed from a checkpoint at any kill point.
 //
 // workers <= 0 selects runtime.NumCPU(); workers == 1 runs inline with
-// no goroutines (the serial path). On failure without quarantine the
-// *ExperimentError of the lowest-index failing experiment is returned,
-// matching serial semantics: the cursor hands out indices in ascending
-// order, so the first failing index is always claimed and executed
-// before the abort flag can stop any later one.
+// no goroutines. On failure without quarantine the *ExperimentError of
+// the lowest-index failing experiment is returned at any worker count:
+// batches are claimed in ascending order of their lowest plan index,
+// every member of a failed batch is run again alone, and claiming only
+// stops at batches that lie wholly above the lowest failure so far.
 func (t *Target) RunParallel(g *Golden, plan []Injection, workers int) (*Report, error) {
 	p, err := t.Prepare(g, plan)
 	if err != nil {
@@ -139,12 +138,12 @@ func (t *Target) RunParallel(g *Golden, plan []Injection, workers int) (*Report,
 // completed partial campaign state as a Checkpoint — the interchange
 // unit of the distributed coordinator/worker protocol (internal/dist).
 // Every verdict in the returned state is exactly the one the full
-// serial campaign would have produced for that plan row, so disjoint
-// ranges merged in plan order (see AssembleReport) rebuild the
-// bit-identical single-process report. Lanes, warm start, collapse and
-// the per-experiment supervision policy all compose: they are
-// per-process throughput/robustness knobs that never change a result
-// row. A caller with more than one range to run prepares once and calls
+// campaign would have produced for that plan row, so disjoint ranges
+// merged in plan order (see AssembleReport) rebuild the bit-identical
+// single-process report. Batch width, warm start, collapse and the
+// per-experiment supervision policy all compose: they are per-process
+// throughput/robustness knobs that never change a result row. A caller
+// with more than one range to run prepares once and calls
 // Prepared.RunRange.
 func (t *Target) RunRange(g *Golden, plan []Injection, workers, lo, hi int) (*Checkpoint, error) {
 	p, err := t.Prepare(g, plan)
@@ -209,7 +208,7 @@ func (t *Target) AssembleReport(plan []Injection, ck *Checkpoint) (*Report, erro
 // Everything it knows about the campaign comes from p; what it allocates
 // is proportional to hi-lo.
 func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
-	t, g, plan := &p.t, p.g, p.plan
+	t, plan := &p.t, p.plan
 	span := hi - lo
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -238,12 +237,11 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 	}
 
 	// Static pre-pass (opt-in): statically classified rows are marked
-	// done up front with their exact serial result; rows collapsed onto
-	// a representative are skipped by the claim loops and inherit the
+	// done up front with their exact result; rows collapsed onto
+	// a representative are skipped by the claim loop and inherit the
 	// representative's outcome after the workers drain, just before the
 	// in-order merge. A wall-clock watchdog makes verdicts depend on
-	// host timing, so it disables the pre-pass the same way it disables
-	// lanes.
+	// host timing, so it disables the pre-pass.
 	//
 	// from is the table seen from this span: from[i-lo] >= 0 names the
 	// in-span row whose outcome pending row i inherits. When a class's
@@ -285,21 +283,19 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 		tel.CollapsePlan(pruned, collapsed)
 	}
 
-	// The word-parallel path: on a campaign prepared with a lane kernel
-	// the batchable pending experiments are grouped into lockstep lane
-	// batches on the compiled machine (see lanes.go).
-	var units [][]int
-	if p.prog != nil {
-		units = buildUnits(st, plan, min(t.Lanes, 64), from)
-	}
+	// The pending experiments are grouped into lockstep lane batches on
+	// the compiled machine (see lanes.go).
+	units := buildUnits(st, plan, laneWidth(t.Lanes), from)
 
 	var (
 		cursor      atomic.Int64
 		stopped     atomic.Bool
+		failedAt    atomic.Int64 // lowest failed plan index (quarantine off)
 		errs        = make([]error, span)
 		ckptErr     error
 		interrupted = sup.interrupted()
 	)
+	failedAt.Store(int64(hi))
 	// finish is called with st.mu held after every completion; it
 	// writes the periodic checkpoint and fires the StopAfter hook.
 	finish := func() {
@@ -324,11 +320,11 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 			stopped.Store(true)
 		}
 	}
-	// runSingle executes one claimed experiment on the serial supervised
-	// path and records its completion; tk is its ExpStart ticket
-	// (already emitted by the claimer).
-	runSingle := func(i int, tk telemetry.ExpTicket) {
-		res, err := t.runSupervised(g, plan, i)
+	// runAlone executes one claimed experiment alone under the full
+	// supervision policy and records its completion; tk is its ExpStart
+	// ticket (already emitted by the claimer).
+	runAlone := func(i int, tk telemetry.ExpTicket) {
+		res, err := p.runSupervised(i)
 		st.mu.Lock()
 		if err != nil {
 			if sup.Quarantine {
@@ -341,7 +337,9 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 				finish()
 			} else {
 				errs[i-lo] = err
-				stopped.Store(true)
+				if int64(i) < failedAt.Load() {
+					failedAt.Store(int64(i))
+				}
 				tel.ExpFinish(i, "error", false, 0, -1, tk)
 			}
 		} else {
@@ -351,79 +349,49 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 		}
 		st.mu.Unlock()
 	}
+	// work claims whole units. A batch that fails for any reason (error
+	// or panic) produces no results; every member is then run alone, so
+	// the retry/quarantine policy applies per experiment. A unit of one
+	// row goes there directly.
 	work := func() {
 		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= hi || stopped.Load() || interrupted() {
-				return
-			}
-			if st.at(i).done { // preloaded or statically classified
-				continue
-			}
-			if from != nil && from[i-lo] >= 0 { // inherits after the drain
-				continue
-			}
-			runSingle(i, tel.ExpStart(i))
-		}
-	}
-	// workUnits is the lanes variant: the cursor claims whole work
-	// units. A batch that fails for any reason (error or panic) produces
-	// no results; every member is then rerun serially under the full
-	// supervision policy, so retry/quarantine semantics are identical to
-	// the per-experiment path. An unbatchable row is a unit of its own
-	// and goes there directly; a lone batchable row is a one-lane batch.
-	workUnits := func() {
-		for {
 			u := int(cursor.Add(1)) - 1
-			if u >= len(units) || stopped.Load() || interrupted() {
+			if u >= len(units) || stopped.Load() || interrupted() ||
+				int64(minIndex(units[u])) > failedAt.Load() {
 				return
 			}
 			idxs := units[u]
-			if i := idxs[0]; !batchable(plan[i]) {
-				runSingle(i, tel.ExpStart(i))
-				continue
-			}
 			starts := make([]telemetry.ExpTicket, len(idxs))
 			for k, i := range idxs {
 				starts[k] = tel.ExpStart(i)
 			}
-			bsp := tel.BatchStart(len(idxs))
-			results, err := p.runBatchRecovered(idxs)
-			tel.BatchDone(bsp, len(idxs))
-			if err != nil {
-				for k, i := range idxs {
-					runSingle(i, starts[k])
+			if len(idxs) > 1 {
+				if results, err := p.runBatchRecovered(idxs); err == nil {
+					st.mu.Lock()
+					for k, i := range idxs {
+						*st.at(i) = expSlot{done: true, res: results[k]}
+						r := &results[k]
+						tel.ExpFinish(i, r.Outcome.String(), r.Sens, len(r.Deviated), r.FirstDevCycle, starts[k])
+						finish()
+					}
+					st.mu.Unlock()
+					continue
 				}
-				continue
 			}
-			st.mu.Lock()
 			for k, i := range idxs {
-				*st.at(i) = expSlot{done: true, res: results[k]}
-				r := &results[k]
-				tel.ExpFinish(i, r.Outcome.String(), r.Sens, len(r.Deviated), r.FirstDevCycle, starts[k])
-				finish()
+				runAlone(i, starts[k])
 			}
-			st.mu.Unlock()
 		}
 	}
-
-	// The per-experiment cursor walks plan indices in [lo, hi); the lane
-	// cursor walks work-unit indices (units already cover only the span).
-	loop := work
-	cursor.Store(int64(lo))
-	if p.prog != nil {
-		loop = workUnits
-		cursor.Store(0)
-	}
 	if workers == 1 {
-		loop()
+		work()
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				loop()
+				work()
 			}()
 		}
 		wg.Wait()
@@ -447,7 +415,7 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 	// the uncollapsed campaign would have done.
 	if from != nil {
 		for i := lo; i < hi; i++ {
-			if stopped.Load() || interrupted() {
+			if stopped.Load() || interrupted() || int64(i) > failedAt.Load() {
 				break
 			}
 			r := from[i-lo]
@@ -464,7 +432,7 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 				*st.at(i) = expSlot{done: true, res: res}
 				tel.OutcomeInherited()
 			} else {
-				runSingle(i, tel.ExpStart(i))
+				runAlone(i, tel.ExpStart(i))
 			}
 		}
 		for _, err := range errs {

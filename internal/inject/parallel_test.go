@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"repro/internal/inject"
+	"repro/internal/injecttest"
 	"repro/internal/memsys"
 )
 
-// reducedCampaign builds a 64-word variant of the case-study design and
-// a small OP-guided plan — enough experiments to populate every
-// coverage array while keeping the race-enabled run fast.
-func reducedCampaign(t testing.TB, v2 bool) (*inject.Target, *inject.Golden, []inject.Injection) {
+// reducedDesign builds a 64-word variant of the case-study design and
+// its OP-guided plan over a validation workload of the given March
+// slice size.
+func reducedDesign(t testing.TB, v2 bool, words int) (*inject.Target, *inject.Golden, []inject.Injection) {
 	t.Helper()
 	cfg := memsys.V1Config()
 	if v2 {
@@ -28,25 +29,38 @@ func reducedCampaign(t testing.TB, v2 bool) (*inject.Target, *inject.Golden, []i
 		t.Fatal(err)
 	}
 	target := d.InjectionTargetSeeded(a, d.SeedFaults())
-	g, err := target.RunGolden(d.ValidationWorkload(2, 1))
+	g, err := target.RunGolden(d.ValidationWorkload(words, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := inject.BuildPlan(a, g, inject.PlanConfig{TransientPerZone: 1, PermanentPerZone: 1, Seed: 5})
 	plan = append(plan, inject.WidePlan(a, g, 4, 6)...)
-	// Stride-sample the plan so the test stays quick but still spans
-	// many zones and all three experiment classes.
+	return target, g, plan
+}
+
+// reducedCampaign stride-samples the reduced design's plan — enough
+// experiments to populate every coverage array and span many zones and
+// all three experiment classes while keeping the race-enabled run fast.
+func reducedCampaign(t testing.TB, v2 bool) (*inject.Target, *inject.Golden, []inject.Injection) {
+	t.Helper()
+	target, g, plan := reducedDesign(t, v2, 2)
+	return target, g, stride(plan, 3)
+}
+
+// stride keeps every n-th plan row.
+func stride(plan []inject.Injection, n int) []inject.Injection {
 	var sampled []inject.Injection
-	for i := 0; i < len(plan); i += 3 {
+	for i := 0; i < len(plan); i += n {
 		sampled = append(sampled, plan[i])
 	}
-	return target, g, sampled
+	return sampled
 }
 
 // TestRunParallelDeterministic: the sharded campaign runner must
 // produce a byte-identical report — same per-experiment order,
-// outcomes, deviation lists and coverage items — as the serial path,
-// for any worker count, on both implementations of the case study.
+// outcomes, deviation lists and coverage items — as the scalar
+// reference, for any worker count, on both implementations of the case
+// study.
 func TestRunParallelDeterministic(t *testing.T) {
 	for _, v2 := range []bool{false, true} {
 		name := "v1"
@@ -55,22 +69,19 @@ func TestRunParallelDeterministic(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			target, g, plan := reducedCampaign(t, v2)
-			serial, err := target.Run(g, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serial := injecttest.Reference(t, target, g.Trace, plan)
 			for _, workers := range []int{1, 2, 8} {
 				par, err := target.RunParallel(g, plan, workers)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				if !reflect.DeepEqual(serial, par) {
-					t.Fatalf("workers=%d: parallel report differs from serial", workers)
+					t.Fatalf("workers=%d: parallel report differs from the scalar reference", workers)
 				}
 				// Belt and braces: the rendered representation must be
 				// byte-identical too.
 				if fmt.Sprintf("%#v", par) != fmt.Sprintf("%#v", serial) {
-					t.Fatalf("workers=%d: rendered report differs from serial", workers)
+					t.Fatalf("workers=%d: rendered report differs from the scalar reference", workers)
 				}
 			}
 		})
@@ -78,19 +89,16 @@ func TestRunParallelDeterministic(t *testing.T) {
 }
 
 // TestTargetWorkersOption: Run honors Target.Workers and still matches
-// the serial report.
+// the scalar reference.
 func TestTargetWorkersOption(t *testing.T) {
 	target, g, plan := reducedCampaign(t, true)
-	serial, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := injecttest.Reference(t, target, g.Trace, plan)
 	target.Workers = 4
 	par, err := target.Run(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("Run with Workers=4 differs from serial Run")
+		t.Fatal("Run with Workers=4 differs from the scalar reference")
 	}
 }

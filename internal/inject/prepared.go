@@ -24,7 +24,7 @@ type Prepared struct {
 	g *Golden
 
 	// prog and ports are the compiled lane kernel and the trace's input
-	// ports resolved against it; nil when the campaign runs scalar.
+	// ports resolved against it.
 	prog  *simc.Program
 	ports []netlist.Port
 
@@ -34,16 +34,10 @@ type Prepared struct {
 	pc           *planCollapse
 }
 
-// Prepare fingerprints the plan and, when the lane kernel will be used,
-// compiles the netlist and resolves the trace ports.
+// Prepare fingerprints the plan, compiles the netlist for the lane
+// kernel and resolves the trace ports.
 func (t *Target) Prepare(g *Golden, plan []Injection) (*Prepared, error) {
 	p := &Prepared{Codec: NewCodec(plan), t: *t, g: g}
-	// Wall-clock watchdogs are inherently nondeterministic and
-	// per-instance, so an armed one keeps the whole campaign on the
-	// serial per-experiment path.
-	if t.Lanes <= 1 || t.Supervision.wallArmed() {
-		return p, nil
-	}
 	prog, err := simc.Compile(t.Analysis.N)
 	if err != nil {
 		return nil, err

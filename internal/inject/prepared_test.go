@@ -10,11 +10,12 @@ import (
 	"testing"
 
 	"repro/internal/inject"
+	"repro/internal/injecttest"
 	"repro/internal/telemetry"
 )
 
 // serialRows is the reference for any range: the rows [lo, hi) of the
-// plain serial campaign, as the checkpoint a range run must equal.
+// scalar reference campaign, as the checkpoint a range run must equal.
 func serialRows(ref *inject.Report, lo, hi int) *inject.Checkpoint {
 	ck := &inject.Checkpoint{}
 	for i := lo; i < hi; i++ {
@@ -32,10 +33,7 @@ func serialRows(ref *inject.Report, lo, hi int) *inject.Checkpoint {
 func TestPreparedCollapsesOnce(t *testing.T) {
 	target, g, base := reducedCampaign(t, true)
 	plan := collapsiblePlan(g, base)
-	ref, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := injecttest.Reference(t, target, g.Trace, plan)
 
 	var spans bytes.Buffer
 	tel := telemetry.NewCampaign(nil, nil)
@@ -57,7 +55,7 @@ func TestPreparedCollapsesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(ck, serialRows(ref, lo, hi)) {
-				t.Fatalf("range [%d,%d) differs from the serial rows", lo, hi)
+				t.Fatalf("range [%d,%d) differs from the reference rows", lo, hi)
 			}
 		}
 		return cycles.Load() - before
@@ -78,10 +76,7 @@ func TestPreparedCollapsesOnce(t *testing.T) {
 func TestPreparedConcurrentRanges(t *testing.T) {
 	target, g, base := reducedCampaign(t, true)
 	plan := collapsiblePlan(g, base)
-	ref, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := injecttest.Reference(t, target, g.Trace, plan)
 	wtgt, wg := warmGolden(t, target, g, 8)
 	wtgt.Collapse = true
 	wtgt.Lanes = 64
@@ -99,7 +94,7 @@ func TestPreparedConcurrentRanges(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			} else if !reflect.DeepEqual(ck, serialRows(ref, lo, hi)) {
-				t.Errorf("range [%d,%d) differs from the serial rows", lo, hi)
+				t.Errorf("range [%d,%d) differs from the reference rows", lo, hi)
 			}
 		}()
 	}
@@ -111,10 +106,7 @@ func TestPreparedConcurrentRanges(t *testing.T) {
 // must still validate the whole file against the plan first.
 func TestPreparedResumeSpan(t *testing.T) {
 	target, g, plan := reducedCampaign(t, true)
-	ref, err := target.Run(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := injecttest.Reference(t, target, g.Trace, plan)
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	if err := inject.WriteCheckpoint(path, serialRows(ref, 0, len(plan)), plan); err != nil {
 		t.Fatal(err)
@@ -128,7 +120,7 @@ func TestPreparedResumeSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ck, serialRows(ref, lo, hi)) {
-		t.Fatal("resumed range differs from the serial rows")
+		t.Fatal("resumed range differs from the reference rows")
 	}
 	if got := tel.Registry.Gauge("preloaded").Load(); got != int64(hi-lo) {
 		t.Fatalf("preloaded %d records into a span of %d", got, hi-lo)

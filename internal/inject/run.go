@@ -132,9 +132,9 @@ func (r *Report) AbortedCount() int {
 // Run executes the injection campaign: one golden-aligned faulty
 // simulation per planned injection, with the SENS/OBSE/DIAG monitors
 // and coverage collection of Fig. 4. With Target.Workers unset (0) the
-// campaign runs serially; any other value shards it across that many
-// goroutines via RunParallel, whose merge keeps the report
-// bit-identical to the serial order.
+// campaign runs on the calling goroutine; any other value shards it
+// across that many goroutines via RunParallel, whose merge keeps the
+// report bit-identical.
 func (t *Target) Run(g *Golden, plan []Injection) (*Report, error) {
 	workers := t.Workers
 	if workers == 0 {
@@ -143,8 +143,12 @@ func (t *Target) Run(g *Golden, plan []Injection) (*Report, error) {
 	return t.RunParallel(g, plan, workers)
 }
 
-// RunOne executes a single injection experiment against the golden
-// traces (the mission-simulation entry point).
+// RunOne is the scalar reference of the experiment loop: one injection
+// on the interpreted simulator (internal/sim), against a cold or warm
+// golden, honouring Supervision.CycleBudget and the wall watchdog. No
+// campaign runs on it — every plan row runs in a lane of the compiled
+// kernel (lanes.go) — it is what the tests compare the campaign engine
+// against.
 func (t *Target) RunOne(g *Golden, inj Injection) (ExpResult, error) {
 	return t.runOne(g, inj)
 }

@@ -18,8 +18,9 @@ type Supervision struct {
 	// simulated cycles, so it is fully deterministic: the same plan
 	// aborts at the same point at any worker count.
 	CycleBudget int
-	// WallBudget caps the wall-clock time of one experiment
-	// (0 = disabled). It needs Clock to be set; wall aborts are
+	// WallBudget caps the wall-clock time of one lane batch — the
+	// experiments of a batch run in lockstep, so a hang in one is a hang
+	// of all (0 = disabled). It needs Clock to be set; wall aborts are
 	// inherently nondeterministic and void the byte-identity guarantee
 	// for the affected rows, so this is a last-resort hang guard only.
 	WallBudget time.Duration
@@ -84,8 +85,8 @@ func (sv *Supervision) interrupted() func() bool {
 }
 
 // wallArmed reports whether the wall-clock watchdog is live — the one
-// mode whose verdicts depend on host timing, so lanes and the static
-// pre-pass stand down while it is.
+// mode whose verdicts depend on host timing, so early retirement and
+// the static pre-pass stand down while it is.
 func (sv *Supervision) wallArmed() bool { return sv.WallBudget > 0 && sv.Clock != nil }
 
 // defaultCheckpointEvery is the checkpoint cadence when unset.
@@ -130,8 +131,8 @@ type ExperimentError struct {
 	// Attempts counts how many times the experiment was tried
 	// (1 + Supervision.Retries).
 	Attempts int
-	// Err is the underlying failure (instance construction error or a
-	// recovered worker panic).
+	// Err is the underlying failure (instance construction error, a
+	// recovered panic or an *UnsupportedFaultError).
 	Err error
 }
 
@@ -156,41 +157,29 @@ type Quarantined struct {
 	Err      string
 }
 
-// runRecovered executes one experiment with panic isolation: a worker
-// panic (a diverging peripheral model, an out-of-range fault site from
-// a hand-written plan) is converted into a per-experiment error
-// instead of killing the process.
-func (t *Target) runRecovered(g *Golden, inj Injection) (res ExpResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("experiment panic: %v", r)
-		}
-	}()
-	return t.runOne(g, inj)
-}
-
-// runSupervised is runRecovered plus the retry policy. On persistent
+// runSupervised runs plan row i alone — a one-lane batch on the same
+// machine every batch uses — under the retry policy. On persistent
 // failure it returns a typed *ExperimentError carrying the plan index.
 // Each failed attempt that will be retried is reported to the
 // telemetry hub (out-of-band; the report never sees retries that
 // eventually succeeded).
-func (t *Target) runSupervised(g *Golden, plan []Injection, i int) (ExpResult, error) {
-	attempts := 1 + t.Supervision.Retries
+func (p *Prepared) runSupervised(i int) (ExpResult, error) {
+	attempts := 1 + p.t.Supervision.Retries
 	if attempts < 1 {
 		attempts = 1
 	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
-		res, err := t.runRecovered(g, plan[i])
+		res, err := p.runBatchRecovered([]int{i})
 		if err == nil {
-			return res, nil
+			return res[0], nil
 		}
 		lastErr = err
 		if a+1 < attempts {
-			t.Telemetry.Retry(i, a+1, err.Error())
+			p.t.Telemetry.Retry(i, a+1, err.Error())
 		}
 	}
 	return ExpResult{}, &ExperimentError{
-		PlanIndex: i, Injection: plan[i], Attempts: attempts, Err: lastErr,
+		PlanIndex: i, Injection: p.plan[i], Attempts: attempts, Err: lastErr,
 	}
 }

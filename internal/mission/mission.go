@@ -104,8 +104,11 @@ func Run(target *inject.Target, g *inject.Golden, w *fmea.Worksheet, missions in
 		return events[len(events)-1]
 	}
 
+	// Draw every mission first, then run the drawn injections as one
+	// campaign plan.
 	res := Result{Missions: missions, LambdaTotal: total}
 	horizon := g.Trace.Cycles()
+	var plan []inject.Injection
 	for m := 0; m < missions; m++ {
 		e := pick()
 		inj, ok := buildInjection(a, e, rng, horizon)
@@ -115,11 +118,17 @@ func Run(target *inject.Target, g *inject.Golden, w *fmea.Worksheet, missions in
 			res.DangerUndet++
 			continue
 		}
-		out, err := target.RunOne(g, inj)
-		if err != nil {
-			return Result{}, err
-		}
-		switch out.Outcome {
+		plan = append(plan, inj)
+	}
+	rep, err := target.Run(g, plan)
+	if err != nil {
+		return Result{}, err
+	}
+	// A quarantined mission carries no verdict: dangerous undetected,
+	// like an aborted one.
+	res.DangerUndet += len(rep.Quarantined)
+	for i := range rep.Results {
+		switch rep.Results[i].Outcome {
 		case inject.Silent, inject.DetectedSafe:
 			res.Safe++
 		case inject.DangerousDetected:

@@ -7,12 +7,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/inject"
+	"repro/internal/injecttest"
 )
 
 // fastSub is a submission small enough for a unit test: the analytical
@@ -21,9 +24,9 @@ func fastSub() Submission {
 	return Submission{Design: "v2", AddrWidth: 6, Words: 4}
 }
 
-// directReport runs the submission straight through core.Run the way a
-// worker would — the byte-identity oracle for served reports.
-func directReport(t *testing.T, sub Submission) string {
+// directRun runs the submission straight through core.Run the way a
+// worker would.
+func directRun(t *testing.T, sub Submission) (core.DUT, *core.Assessment) {
 	t.Helper()
 	sub.normalize()
 	dut, err := sub.dut()
@@ -34,6 +37,13 @@ func directReport(t *testing.T, sub Submission) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dut, as
+}
+
+// directReport is the byte-identity oracle for served reports.
+func directReport(t *testing.T, sub Submission) string {
+	t.Helper()
+	_, as := directRun(t, sub)
 	return as.Report()
 }
 
@@ -572,6 +582,25 @@ func TestSubmissionKeyNormalization(t *testing.T) {
 	}
 }
 
+// scalarReport is the reference of the engine-knob test: the
+// submission's report from core.Run, after both of its campaign reports
+// were re-derived row by row on the scalar reference and found equal.
+func scalarReport(t *testing.T, sub Submission) string {
+	t.Helper()
+	dut, as := directRun(t, sub)
+	target := dut.Target(as.Analysis)
+	for _, rep := range []*inject.Report{as.Validation.Report, as.Validation.WideReport} {
+		var plan []inject.Injection
+		for i := range rep.Results {
+			plan = append(plan, rep.Results[i].Injection)
+		}
+		if !reflect.DeepEqual(injecttest.Reference(t, target, dut.ValidationTrace(), plan), rep) {
+			t.Fatal("core.Run campaign report differs from the scalar reference")
+		}
+	}
+	return as.Report()
+}
+
 // TestEngineKnobsByteNeutral: the daemon's engine throughput knobs
 // (workers, lanes, collapse) must never change report bytes.
 func TestEngineKnobsByteNeutral(t *testing.T) {
@@ -579,7 +608,7 @@ func TestEngineKnobsByteNeutral(t *testing.T) {
 		t.Skip("runs three validation campaigns")
 	}
 	sub := Submission{Design: "v2", AddrWidth: 6, Words: 4, Transient: 1, Permanent: 1, Wide: 4, Validate: true}
-	var reports []string
+	ref := scalarReport(t, sub)
 	for _, cfg := range []Config{
 		{EngineWorkers: 1},
 		{EngineWorkers: 4, EngineLanes: 4},
@@ -596,12 +625,10 @@ func TestEngineKnobsByteNeutral(t *testing.T) {
 			t.Fatalf("cfg %+v: state %s (%s)", cfg, st.State, st.Error)
 		}
 		job.mu.Lock()
-		reports = append(reports, job.report)
+		report := job.report
 		job.mu.Unlock()
-	}
-	for i := 1; i < len(reports); i++ {
-		if reports[i] != reports[0] {
-			t.Fatalf("engine knob set %d changed report bytes", i)
+		if report != ref {
+			t.Fatalf("cfg %+v changed report bytes", cfg)
 		}
 	}
 }
