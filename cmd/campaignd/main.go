@@ -14,9 +14,9 @@
 // dangerous-undetected, exit 3), and graceful degradation to local
 // in-process execution (-local) when no worker is alive.
 //
-// The campaign spec flags (-design, -addr, -words, -transient,
-// -permanent, -wide, -seed) must match the workers'; a worker with a
-// different plan fingerprint is rejected at connect.
+// The campaign spec flags are cmd/injector's (internal/cli registers
+// both) and must match the workers'; a worker with a different plan
+// fingerprint is rejected at connect.
 //
 // Exit codes are the CI contract, documented in --help: 0 success;
 // 1 fatal error; 2 flag/usage error; 3 rows quarantined (campaign
@@ -24,54 +24,42 @@
 package main
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"os"
 	"os/exec"
-	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/dist"
 	"repro/internal/inject"
-	"repro/internal/telemetry"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+const about = `usage: campaignd [flags]
+
+Distributed campaign coordinator: leases plan ranges to injector workers,
+survives worker loss, and merges a report byte-identical to a serial run.
+
+Exit codes:
+  0  success
+  1  fatal error (build failure, campaign failure, I/O failure)
+  2  flag/usage error
+  3  plan rows quarantined (campaign degraded)
+  4  campaign coverage incomplete (with -require-coverage)
+`
+
 func run(args []string, stdout, stderr io.Writer) int {
-	lg := log.New(stderr, "campaignd: ", 0)
-	fs := flag.NewFlagSet("campaignd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: campaignd [flags]")
-		fmt.Fprintln(stderr, "\nDistributed campaign coordinator: leases plan ranges to injector workers,")
-		fmt.Fprintln(stderr, "survives worker loss, and merges a report byte-identical to a serial run.")
-		fmt.Fprintln(stderr, "\nExit codes:")
-		fmt.Fprintln(stderr, "  0  success")
-		fmt.Fprintln(stderr, "  1  fatal error (build failure, campaign failure, I/O failure)")
-		fmt.Fprintln(stderr, "  2  flag/usage error")
-		fmt.Fprintln(stderr, "  3  plan rows quarantined (campaign degraded)")
-		fmt.Fprintln(stderr, "  4  campaign coverage incomplete (with -require-coverage)")
-		fmt.Fprintln(stderr, "\nFlags:")
-		fs.PrintDefaults()
-	}
-	design := fs.String("design", "v2", "implementation: v1 or v2")
-	addrWidth := fs.Int("addr", 6, "address width")
-	words := fs.Int("words", 8, "March slice size of the workload")
-	transient := fs.Int("transient", 6, "transient experiments per zone")
-	permanent := fs.Int("permanent", 3, "permanent experiments per zone")
-	wide := fs.Int("wide", 12, "wide/global fault experiments")
-	seed := fs.Uint64("seed", 1, "campaign seed")
+	cmd := cli.New("campaignd", about,
+		cli.Spec|cli.Workers|cli.Collapse|cli.Trace|cli.Observe|cli.Report, stderr)
+	fs, lg := cmd.Flags, cmd.Log
 	listen := fs.String("listen", "", "accept TCP workers on this address (a bare \":port\" binds 127.0.0.1)")
-	spawn := fs.Int("spawn", 0, "spawn N subprocess workers over stdio pipes")
+	spawn := fs.Int("spawn", 0, "spawn N subprocess workers over stdio pipes (with -trace, worker N writes <trace>.spawnN)")
 	workerBin := fs.String("worker-bin", "", "injector binary for -spawn (runs \"<bin> worker -stdio\" with matching spec flags)")
 	rangeSize := fs.Int("range", 32, "plan rows per lease")
 	leaseTTL := fs.Duration("lease-ttl", 15*time.Second, "lease lifetime without a heartbeat before revocation")
@@ -79,141 +67,53 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backoffBase := fs.Duration("backoff", 250*time.Millisecond, "re-issue backoff after a failed lease attempt (doubles per attempt)")
 	backoffCap := fs.Duration("backoff-cap", 10*time.Second, "re-issue backoff ceiling")
 	tick := fs.Duration("tick", 200*time.Millisecond, "scheduler cadence (bounds dead-worker detection latency)")
-	local := fs.Bool("local", true, "run ranges in-process while no live worker exists (graceful degradation)")
-	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers for -local in-process execution")
-	warmstart := fs.Int("warmstart", 0, "golden snapshot cadence for local execution (0 = cold start; results are identical)")
-	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass for local execution (results are identical)")
-	tol := fs.Float64("tol", 0.35, "estimate-vs-measured tolerance")
-	out := fs.String("out", "", "also write the canonical campaign report (the distributed byte-identity surface) to this file")
-	requireCoverage := fs.Bool("require-coverage", true, "exit 4 when campaign coverage is incomplete")
-	journalPath := fs.String("journal", "", "write the JSONL campaign journal to this file")
-	progressEvery := fs.Duration("progress", 0, "print periodic campaign progress to stderr at this interval (0 = off)")
-	statusAddr := fs.String("status", "", "serve expvar + pprof + /progress on this address")
-	tracePath := fs.String("trace", "", "write the coordinator's JSONL span journal to this file; spawned workers write <file>.spawnN (analyze with cmd/tracer)")
+	local := fs.Bool("local", true, "run ranges in-process while no live worker exists (graceful degradation; -workers, -warmstart and -collapse apply to it)")
 	adaptive := fs.Bool("adaptive", false, "latency-driven lease sizing: split pending ranges so one lease carries about -lease-target of work (results are identical)")
 	leaseTarget := fs.Duration("lease-target", 0, "target wall time per lease for -adaptive (0 = lease-ttl/4)")
 	minRange := fs.Int("min-range", 0, "smallest range -adaptive may split down to (0 = 4)")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	usageErr := func(format string, args ...any) int {
-		fmt.Fprintf(stderr, "campaignd: "+format+"\n", args...)
-		fs.Usage()
-		return 2
+	if code, ok := cmd.Parse(args); !ok {
+		return code
 	}
 	switch {
 	case *rangeSize < 1:
-		return usageErr("-range must be >= 1, got %d", *rangeSize)
+		return cmd.UsageErr("-range must be >= 1, got %d", *rangeSize)
 	case *leaseTTL <= 0:
-		return usageErr("-lease-ttl must be > 0, got %v", *leaseTTL)
+		return cmd.UsageErr("-lease-ttl must be > 0, got %v", *leaseTTL)
 	case *maxAttempts < 1:
-		return usageErr("-max-attempts must be >= 1, got %d", *maxAttempts)
+		return cmd.UsageErr("-max-attempts must be >= 1, got %d", *maxAttempts)
 	case *tick <= 0:
-		return usageErr("-tick must be > 0, got %v", *tick)
+		return cmd.UsageErr("-tick must be > 0, got %v", *tick)
 	case *spawn < 0:
-		return usageErr("-spawn must be >= 0, got %d", *spawn)
+		return cmd.UsageErr("-spawn must be >= 0, got %d", *spawn)
 	case *spawn > 0 && *workerBin == "":
-		return usageErr("-spawn requires -worker-bin")
+		return cmd.UsageErr("-spawn requires -worker-bin")
 	case *listen == "" && *spawn == 0 && !*local:
-		return usageErr("no execution path: need -listen, -spawn or -local")
-	case *workers < 0:
-		return usageErr("-workers must be >= 0, got %d", *workers)
-	case *warmstart < 0:
-		return usageErr("-warmstart must be >= 0, got %d", *warmstart)
-	case *transient < 0 || *permanent < 0 || *wide < 0:
-		return usageErr("experiment counts must be >= 0")
-	case *progressEvery < 0:
-		return usageErr("-progress must be >= 0, got %v", *progressEvery)
+		return cmd.UsageErr("no execution path: need -listen, -spawn or -local")
 	case *leaseTarget < 0:
-		return usageErr("-lease-target must be >= 0, got %v", *leaseTarget)
+		return cmd.UsageErr("-lease-target must be >= 0, got %v", *leaseTarget)
 	case *minRange < 0:
-		return usageErr("-min-range must be >= 0, got %d", *minRange)
-	case *design != "v1" && *design != "v2":
-		return usageErr("unknown design %q", *design)
+		return cmd.UsageErr("-min-range must be >= 0, got %d", *minRange)
 	}
 
-	sp := dist.Spec{
-		Design:    *design,
-		AddrWidth: *addrWidth,
-		Words:     *words,
-		Transient: *transient,
-		Permanent: *permanent,
-		Wide:      *wide,
-		Seed:      *seed,
-		Warmstart: *warmstart,
-	}
-
-	var tel *telemetry.Campaign
-	if *journalPath != "" || *progressEvery > 0 || *statusAddr != "" || *tracePath != "" {
-		var journal *telemetry.Journal
-		if *journalPath != "" {
-			var err error
-			journal, err = telemetry.OpenJournal(*journalPath, telemetry.SystemClock)
-			if err != nil {
-				lg.Print(err)
-				return 1
-			}
-		}
-		tel = telemetry.NewCampaign(journal, telemetry.SystemClock)
-		if *tracePath != "" {
-			spans, err := telemetry.OpenJournal(*tracePath, telemetry.SystemClock)
-			if err != nil {
-				lg.Print(err)
-				return 1
-			}
-			// Spec-derived trace id: workers derive the same id locally
-			// and every lease message carries it, so the fleet's span
-			// journals merge into one trace under cmd/tracer.
-			tel.Tracer = telemetry.NewTracer(spans, "coordinator", sp.TraceID())
-			root := tel.StartSpan("dist-campaign")
-			tel.SetTraceRoot(root)
-			defer func() {
-				tel.PhaseDone()
-				root.End()
-				if err := spans.Close(); err != nil {
-					lg.Printf("trace: %v", err)
-				}
-			}()
-		}
-		if *statusAddr != "" {
-			srv, err := telemetry.ServeStatus(*statusAddr, tel)
-			if err != nil {
-				lg.Print(err)
-				return 1
-			}
-			lg.Printf("status endpoint: http://%s/progress", srv.Addr)
-			defer srv.Close()
-		}
-		if *progressEvery > 0 {
-			rep := telemetry.StartReporter(stderr, tel, *progressEvery)
-			defer rep.Stop()
-		}
-		defer func() {
-			if err := journal.Close(); err != nil {
-				lg.Printf("journal: %v", err)
-			}
-		}()
-	}
-	fatal := func(err error) int {
-		lg.Print(err)
-		return 1
-	}
-
-	c, err := sp.Build()
+	// Workers derive the same spec-hashed trace id locally and every
+	// lease message carries it, so the fleet's span journals merge into
+	// one trace under cmd/tracer.
+	tel, closeHub, err := cmd.OpenHub("coordinator", "dist-campaign")
 	if err != nil {
-		return fatal(err)
+		return cmd.Fatal(err)
 	}
-	c.Target.Collapse = *collapse
-	c.Target.Supervision = inject.Supervision{Clock: time.Now, Quarantine: true}
-	c.Target.Telemetry = tel
+	defer closeHub()
+
+	c, err := cmd.Spec.BuildObserved(tel)
+	if err != nil {
+		return cmd.Fatal(err)
+	}
+	cmd.Engine(c.Target)
 	// Prepared once, like a worker at join: the local runner pays per
 	// range only for its rows.
 	camp, err := c.Target.Prepare(c.Golden, c.Plan)
 	if err != nil {
-		return fatal(err)
+		return cmd.Fatal(err)
 	}
 	fmt.Fprintf(stdout, "%s: workload %d cycles, %d zones\n", c.Name, c.Trace.Cycles(), len(c.Analysis.Zones))
 	fmt.Fprintf(stdout, "distributing %d injection experiments (range size %d, plan hash %016x)...\n",
@@ -235,12 +135,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *local {
 		ccfg.LocalRunner = func(lo, hi int) (*inject.Checkpoint, error) {
-			return camp.RunRange(*workers, lo, hi)
+			return camp.RunRange(cmd.RangeWorkers(), lo, hi)
 		}
 	}
 	coord, err := dist.New(ccfg)
 	if err != nil {
-		return fatal(err)
+		return cmd.Fatal(err)
 	}
 
 	// conns tracks live worker connections so shutdown can wait for the
@@ -249,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *listen != "" {
 		ln, err := net.Listen("tcp", bindLoopback(*listen))
 		if err != nil {
-			return fatal(err)
+			return cmd.Fatal(err)
 		}
 		defer ln.Close()
 		lg.Printf("accepting workers on %s", ln.Addr())
@@ -271,8 +171,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	for i := 0; i < *spawn; i++ {
-		if err := spawnWorker(coord, *workerBin, sp, i, *tracePath, &conns, stderr, lg); err != nil {
-			return fatal(err)
+		if err := spawnWorker(coord, *workerBin, cmd, i, &conns, stderr); err != nil {
+			return cmd.Fatal(err)
 		}
 	}
 
@@ -292,31 +192,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ck, err := coord.Result()
 	if err != nil {
-		return fatal(err)
+		return cmd.Fatal(err)
 	}
 	rep, err := c.Target.AssembleReport(c.Plan, ck)
 	if err != nil {
-		return fatal(err)
+		return cmd.Fatal(err)
 	}
-
-	rep.WriteText(stdout, c.Analysis, c.Worksheet, *tol)
-	if *out != "" {
-		var buf bytes.Buffer
-		rep.WriteText(&buf, c.Analysis, c.Worksheet, *tol)
-		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
-			return fatal(err)
-		}
+	if err := cmd.WriteReport(stdout, c, rep); err != nil {
+		return cmd.Fatal(err)
 	}
-
-	if len(rep.Quarantined) > 0 {
-		lg.Printf("campaign degraded: %d plan row(s) quarantined (%d range(s))", len(rep.Quarantined), coord.Quarantined())
-		return 3
+	if n := coord.Quarantined(); n > 0 {
+		lg.Printf("%d range(s) exhausted their lease attempts", n)
 	}
-	if *requireCoverage && !rep.Coverage.Complete() {
-		lg.Printf("campaign coverage incomplete; failing the gate")
-		return 4
-	}
-	return 0
+	return cmd.ExitCode(rep)
 }
 
 // bindLoopback maps a bare ":port" onto the loopback interface, the
@@ -346,21 +234,12 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) {
 // its pipes. The subprocess's stderr is passed through. When the
 // coordinator traces, each spawned worker writes its span journal next
 // to the coordinator's as <trace>.spawnN.
-func spawnWorker(coord *dist.Coordinator, bin string, sp dist.Spec, i int, tracePath string, conns *sync.WaitGroup, stderr io.Writer, lg *log.Logger) error {
-	argv := []string{"worker", "-stdio",
-		"-name", fmt.Sprintf("spawn%d", i),
-		"-design", sp.Design,
-		"-addr", strconv.Itoa(sp.AddrWidth),
-		"-words", strconv.Itoa(sp.Words),
-		"-transient", strconv.Itoa(sp.Transient),
-		"-permanent", strconv.Itoa(sp.Permanent),
-		"-wide", strconv.Itoa(sp.Wide),
-		"-seed", strconv.FormatUint(sp.Seed, 10),
-		"-warmstart", strconv.Itoa(sp.Warmstart),
+func spawnWorker(coord *dist.Coordinator, bin string, c *cli.Command, i int, conns *sync.WaitGroup, stderr io.Writer) error {
+	name, trace := fmt.Sprintf("spawn%d", i), ""
+	if c.TracePath != "" {
+		trace = c.TracePath + "." + name
 	}
-	if tracePath != "" {
-		argv = append(argv, "-trace", fmt.Sprintf("%s.spawn%d", tracePath, i))
-	}
+	argv := cli.WorkerArgs(c.Spec, name, trace)
 	cmd := exec.Command(bin, argv...)
 	cmd.Stderr = stderr
 	stdin, err := cmd.StdinPipe()
@@ -374,12 +253,12 @@ func spawnWorker(coord *dist.Coordinator, bin string, sp dist.Spec, i int, trace
 	if err := cmd.Start(); err != nil {
 		return err
 	}
-	lg.Printf("spawned worker %d (pid %d)", i, cmd.Process.Pid)
+	c.Log.Printf("spawned worker %d (pid %d)", i, cmd.Process.Pid)
 	conns.Add(1)
 	go func() {
 		defer conns.Done()
 		if err := coord.Serve(pipeConn{stdout, stdin}); err != nil {
-			lg.Printf("spawned worker %d: %v", i, err)
+			c.Log.Printf("spawned worker %d: %v", i, err)
 		}
 		cmd.Wait()
 	}()

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -17,6 +19,10 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"unknown flag", []string{"-frobnicate"}, 2},
 		{"unknown design", []string{"-design", "nope"}, 2},
+		{"design without a DUT", []string{"-design", "rand"}, 2},
+		{"negative workers", []string{"-workers", "-1"}, 2},
+		{"negative count", []string{"-permanent", "-1"}, 2},
+		{"negative warmstart", []string{"-warmstart", "-1"}, 2},
 		{"bad range size", []string{"-range", "0"}, 2},
 		{"bad lease ttl", []string{"-lease-ttl", "0s"}, 2},
 		{"bad max attempts", []string{"-max-attempts", "0"}, 2},
@@ -51,5 +57,35 @@ func TestHelpDocumentsExitCodes(t *testing.T) {
 		if !strings.Contains(usage, want) {
 			t.Errorf("usage text missing %q:\n%s", want, usage)
 		}
+	}
+}
+
+// TestWorkersZeroIsSerial: -workers 0 is cmd/injector's "serial" in the
+// coordinator's local runner too — every leased range it runs reports
+// one campaign goroutine in the journal, never one per CPU.
+func TestWorkersZeroIsSerial(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "camp.jsonl")
+	var out, errb bytes.Buffer
+	args := []string{"-design", "v1", "-addr", "6", "-words", "2", "-transient", "1", "-permanent", "1", "-wide", "2",
+		"-require-coverage=false", "-workers", "0", "-range", "8", "-journal", journal}
+	if got := run(args, &out, &errb); got != 0 {
+		t.Fatalf("exit %d, stderr: %s", got, errb.String())
+	}
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.Contains(line, `"ev":"campaign_start"`) {
+			continue
+		}
+		starts++
+		if !strings.Contains(line, `"workers":1,`) {
+			t.Errorf("a local range ran on more than one goroutine: %s", line)
+		}
+	}
+	if starts == 0 {
+		t.Fatalf("journal has no campaign_start event:\n%s", raw)
 	}
 }

@@ -1,5 +1,6 @@
 // Command certify runs the complete assessment flow over both memory
-// sub-system implementations (or one of them) and prints the
+// sub-system implementations (or any one design of the catalogue,
+// internal/designs) and prints the
 // certification-style report: metrics, SIL grading against the target,
 // sensitivity spans and the full fault-injection validation verdicts.
 // The exit code is non-zero when the target SIL is not met.
@@ -12,17 +13,16 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/designs"
 	"repro/internal/drc"
-	"repro/internal/frcpu"
 	"repro/internal/iec61508"
 	"repro/internal/inject"
-	"repro/internal/memsys"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("certify: ")
-	design := flag.String("design", "both", "implementation: v1, v2, both, cpu or cpu-lockstep")
+	design := flag.String("design", "both", "design: "+designs.Vocabulary(true)+"; both = v1 then v2")
 	addrWidth := flag.Int("addr", 8, "address width for metrics (validation always runs at this size)")
 	target := flag.Int("target", 3, "target SIL (1-4)")
 	hft := flag.Int("hft", 0, "hardware fault tolerance")
@@ -38,42 +38,22 @@ func main() {
 	opts.RunValidation = *validate
 	opts.Plan = inject.PlanConfig{TransientPerZone: *transient, PermanentPerZone: *permanent, Seed: 1}
 
-	var duts []core.DUT
-	memDUT := func(cfg memsys.Config) core.DUT {
-		cfg.AddrWidth = *addrWidth
-		d, err := memsys.Build(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return memsys.NewFlowDUT(d)
-	}
-	cpuDUT := func(cfg frcpu.Config) core.DUT {
-		d, err := frcpu.Build(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return frcpu.NewFlowDUT(d)
-	}
-	switch *design {
-	case "v1":
-		duts = []core.DUT{memDUT(memsys.V1Config())}
-	case "v2":
-		duts = []core.DUT{memDUT(memsys.V2Config())}
-	case "both":
-		duts = []core.DUT{memDUT(memsys.V1Config()), memDUT(memsys.V2Config())}
-	case "cpu":
-		duts = []core.DUT{cpuDUT(frcpu.PlainConfig())}
-	case "cpu-lockstep":
-		duts = []core.DUT{cpuDUT(frcpu.LockstepConfig())}
-	default:
-		log.Fatalf("unknown design %q", *design)
+	names := []string{*design}
+	if *design == "both" {
+		names = []string{"v1", "v2"}
 	}
 
 	// The DRC pre-flight is mandatory: a report that grades SIL over a
 	// netlist with error-level findings says so in the report body, and
 	// the command refuses the certification exit code.
 	allMet := true
-	for _, dut := range duts {
+	for _, name := range names {
+		// The campaign workload is the flow default: certify has no
+		// -words or -seed.
+		dut, err := designs.BuildDUT(name, *addrWidth, designs.DefaultWords, designs.DefaultSeed)
+		if err != nil {
+			log.Fatal(err)
+		}
 		as, err := core.Run(dut, opts)
 		if err != nil {
 			log.Fatal(err)

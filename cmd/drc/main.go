@@ -18,14 +18,9 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/designs"
 	"repro/internal/drc"
 	"repro/internal/fit"
-	"repro/internal/fmea"
-	"repro/internal/frcpu"
-	"repro/internal/memsys"
-	"repro/internal/netlist"
-	"repro/internal/randckt"
-	"repro/internal/zones"
 )
 
 func main() {
@@ -45,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "\nFlags:")
 		fs.PrintDefaults()
 	}
-	design := fs.String("design", "v2", "design: v1, v2, cpu, cpu-lockstep or rand")
+	design := fs.String("design", "v2", "design: "+designs.Vocabulary(false))
 	addrWidth := fs.Int("addr", 8, "address width for the memory sub-system designs")
 	seed := fs.Uint64("seed", 1, "seed for -design rand")
 	jsonOut := fs.Bool("json", false, "emit stable JSON instead of text")
@@ -116,58 +111,22 @@ func splitList(s string) []string {
 	return out
 }
 
-// buildInput assembles the check triple for a named design. The rand
-// design exercises the netlist and zone layers only: random circuits
-// carry no curated worksheet.
+// buildInput assembles the check triple for a catalogue design. A
+// design without a DUT (rand) exercises the netlist and zone layers
+// only: random circuits carry no curated worksheet.
 func buildInput(design string, addrWidth int, seed uint64, withWorksheet bool) (drc.Input, error) {
-	rates := fit.Default()
-	var (
-		n *netlist.Netlist
-		a *zones.Analysis
-		w *fmea.Worksheet
-	)
-	switch design {
-	case "v1", "v2":
-		cfg := memsys.V1Config()
-		if design == "v2" {
-			cfg = memsys.V2Config()
-		}
-		cfg.AddrWidth = addrWidth
-		d, err := memsys.Build(cfg)
-		if err != nil {
-			return drc.Input{}, err
-		}
-		n = d.N
-		if a, err = d.Analyze(); err != nil {
-			return drc.Input{}, err
-		}
-		if withWorksheet {
-			w = d.Worksheet(a, rates)
-		}
-	case "cpu", "cpu-lockstep":
-		cfg := frcpu.PlainConfig()
-		if design == "cpu-lockstep" {
-			cfg = frcpu.LockstepConfig()
-		}
-		d, err := frcpu.Build(cfg)
-		if err != nil {
-			return drc.Input{}, err
-		}
-		n = d.N
-		if a, err = d.Analyze(); err != nil {
-			return drc.Input{}, err
-		}
-		if withWorksheet {
-			w = d.Worksheet(a, rates)
-		}
-	case "rand":
-		n = randckt.Generate(randckt.Default(), seed)
-		var err error
-		if a, err = zones.Extract(n, zones.DefaultConfig()); err != nil {
-			return drc.Input{}, err
-		}
-	default:
-		return drc.Input{}, fmt.Errorf("unknown design %q (want v1, v2, cpu, cpu-lockstep or rand)", design)
+	d, err := designs.Build(design, addrWidth, designs.DefaultWords, seed)
+	if err != nil {
+		return drc.Input{}, err
 	}
-	return drc.Input{Netlist: n, Analysis: a, Worksheet: w, Rates: &rates}, nil
+	a, err := d.Analyze()
+	if err != nil {
+		return drc.Input{}, err
+	}
+	rates := fit.Default()
+	in := drc.Input{Netlist: d.N, Analysis: a, Rates: &rates}
+	if withWorksheet && d.DUT != nil {
+		in.Worksheet = d.DUT.Worksheet(a, rates)
+	}
+	return in, nil
 }

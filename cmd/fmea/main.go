@@ -1,5 +1,5 @@
-// Command fmea runs the SoC-level FMEA over a memory sub-system
-// implementation: zone extraction, worksheet computation, IEC 61508
+// Command fmea runs the SoC-level FMEA over a catalogue design
+// (internal/designs): zone extraction, worksheet computation, IEC 61508
 // metrics (DC, SFF, claimable SIL), the per-zone criticality ranking,
 // the sensitivity spans, and an optional CSV export of the full sheet.
 package main
@@ -10,32 +10,22 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/designs"
 	"repro/internal/fit"
-	"repro/internal/memsys"
 	"repro/internal/report"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fmea: ")
-	design := flag.String("design", "v2", "implementation: v1 or v2")
+	design := flag.String("design", "v2", "design: "+designs.Vocabulary(true))
 	addrWidth := flag.Int("addr", 8, "address width")
 	csvPath := flag.String("csv", "", "export the worksheet to this CSV file")
 	top := flag.Int("top", 12, "ranking entries to print")
 	span := flag.Float64("span", 2, "sensitivity span factor")
 	flag.Parse()
 
-	var cfg memsys.Config
-	switch *design {
-	case "v1":
-		cfg = memsys.V1Config()
-	case "v2":
-		cfg = memsys.V2Config()
-	default:
-		log.Fatalf("unknown design %q", *design)
-	}
-	cfg.AddrWidth = *addrWidth
-	d, err := memsys.Build(cfg)
+	d, err := designs.BuildDUT(*design, *addrWidth, designs.DefaultWords, designs.DefaultSeed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,7 @@
-// Command netlist exports a memory sub-system implementation (or its
-// standalone codec testbench) as structural Verilog, or re-imports such
-// a file and reports its zone-extraction summary — the interchange path
-// for netlists coming from an external synthesis flow.
+// Command netlist exports a catalogue design (internal/designs; or a
+// memory design's standalone codec testbench) as structural Verilog, or
+// re-imports such a file and reports its zone-extraction summary — the
+// interchange path for netlists coming from an external synthesis flow.
 package main
 
 import (
@@ -10,6 +10,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/designs"
 	"repro/internal/memsys"
 	"repro/internal/netlist"
 	"repro/internal/zones"
@@ -18,8 +19,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("netlist: ")
-	design := flag.String("design", "v2", "implementation: v1 or v2")
-	codec := flag.Bool("codec", false, "export the standalone codec testbench instead of the full DUT")
+	design := flag.String("design", "v2", "design: "+designs.Vocabulary(false))
+	codec := flag.Bool("codec", false, "export the standalone codec testbench instead of the full DUT (memory designs only)")
 	out := flag.String("o", "", "write Verilog to this file (default stdout)")
 	parse := flag.String("parse", "", "parse a structural Verilog file and summarize it")
 	flag.Parse()
@@ -43,28 +44,19 @@ func main() {
 		return
 	}
 
-	var cfg memsys.Config
-	switch *design {
-	case "v1":
-		cfg = memsys.V1Config()
-	case "v2":
-		cfg = memsys.V2Config()
-	default:
-		log.Fatalf("unknown design %q", *design)
-	}
-	var n *netlist.Netlist
-	var err error
-	if *codec {
-		n, err = memsys.BuildCodecBench(cfg)
-	} else {
-		var d *memsys.Design
-		d, err = memsys.Build(cfg)
-		if d != nil {
-			n = d.N
-		}
-	}
+	d, err := designs.Build(*design, designs.DefaultAddr, designs.DefaultWords, designs.DefaultSeed)
 	if err != nil {
 		log.Fatal(err)
+	}
+	n := d.N
+	if *codec {
+		mem, ok := d.DUT.(*memsys.FlowDUT)
+		if !ok {
+			log.Fatalf("-codec: design %q has no memory codec", *design)
+		}
+		if n, err = memsys.BuildCodecBench(mem.D.Cfg); err != nil {
+			log.Fatal(err)
+		}
 	}
 	w := os.Stdout
 	if *out != "" {

@@ -27,10 +27,7 @@ package main
 
 import (
 	"context"
-	"flag"
-	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"os"
@@ -39,6 +36,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 )
@@ -47,48 +45,38 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
 }
 
+const about = `usage: served [flags]
+
+Multi-tenant assessment daemon: POST /jobs, poll /jobs/{id}/progress,
+fetch /jobs/{id}/report (byte-identical to cmd/certify).
+
+Exit codes:
+  0  clean shutdown after graceful drain
+  1  fatal error (bind failure, serve failure, drain timeout)
+  2  flag/usage error
+`
+
 // run is the testable daemon body. ready, when non-nil, receives the
 // bound address once the listener is up.
 func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
-	lg := log.New(stderr, "served: ", 0)
-	fs := flag.NewFlagSet("served", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: served [flags]")
-		fmt.Fprintln(stderr, "\nMulti-tenant assessment daemon: POST /jobs, poll /jobs/{id}/progress,")
-		fmt.Fprintln(stderr, "fetch /jobs/{id}/report (byte-identical to cmd/certify).")
-		fmt.Fprintln(stderr, "\nExit codes:")
-		fmt.Fprintln(stderr, "  0  clean shutdown after graceful drain")
-		fmt.Fprintln(stderr, "  1  fatal error (bind failure, serve failure, drain timeout)")
-		fmt.Fprintln(stderr, "  2  flag/usage error")
-		fmt.Fprintln(stderr, "\nFlags:")
-		fs.PrintDefaults()
-	}
+	cmd := cli.New("served", about, cli.Collapse, stderr)
+	fs, lg := cmd.Flags, cmd.Log
 	listen := fs.String("listen", "127.0.0.1:8080", "listen address (empty and wildcard hosts bind 127.0.0.1 unless -expose)")
 	expose := fs.Bool("expose", false, "bind the address exactly as given, wildcard hosts included (the API is unauthenticated)")
 	queue := fs.Int("queue", 64, "bounded FIFO submission queue depth (overflow answers 429)")
 	jobs := fs.Int("jobs", 1, "job worker pool size (concurrent assessments)")
 	engineWorkers := fs.Int("engine-workers", runtime.NumCPU(), "injection-campaign goroutines per job (byte-neutral)")
-	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass per job (byte-neutral)")
 	cacheCap := fs.Int("cache", 256, "content-addressed result cache entries (negative disables)")
 	jobsCap := fs.Int("jobs-cap", 1024, "job table retention: oldest finished jobs evicted past this many (negative disables)")
 	drainTimeout := fs.Duration("drain-timeout", 0, "max wait for running jobs on SIGTERM (0 = wait forever)")
-	if err := fs.Parse(args); err != nil {
-		if err == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	usageErr := func(format string, args ...any) int {
-		fmt.Fprintf(stderr, "served: "+format+"\n", args...)
-		fs.Usage()
-		return 2
+	if code, ok := cmd.Parse(args); !ok {
+		return code
 	}
 	switch {
 	case *queue < 1:
-		return usageErr("-queue must be >= 1, got %d", *queue)
+		return cmd.UsageErr("-queue must be >= 1, got %d", *queue)
 	case *jobs < 1:
-		return usageErr("-jobs must be >= 1, got %d", *jobs)
+		return cmd.UsageErr("-jobs must be >= 1, got %d", *jobs)
 	}
 
 	addr := *listen
@@ -105,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		QueueDepth:     *queue,
 		Workers:        *jobs,
 		EngineWorkers:  *engineWorkers,
-		EngineCollapse: *collapse,
+		EngineCollapse: cmd.Collapse,
 		CacheCap:       *cacheCap,
 		JobsCap:        *jobsCap,
 		Clock:          telemetry.SystemClock,

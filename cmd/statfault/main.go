@@ -19,12 +19,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/frcpu"
-	"repro/internal/memsys"
+	"repro/internal/designs"
 	"repro/internal/netlist"
-	"repro/internal/randckt"
 	"repro/internal/statfault"
-	"repro/internal/zones"
 )
 
 func main() {
@@ -34,7 +31,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("statfault", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	design := fs.String("design", "v2", "design: v1, v2, cpu, cpu-lockstep or rand")
+	design := fs.String("design", "v2", "design: "+designs.Vocabulary(false))
 	addrWidth := fs.Int("addr", 8, "address width for the memory sub-system designs")
 	seed := fs.Uint64("seed", 1, "seed for -design rand")
 	jsonOut := fs.Bool("json", false, "emit stable JSON instead of text")
@@ -96,7 +93,11 @@ type reportData struct {
 }
 
 func buildReport(design string, addrWidth int, seed uint64, maxList int) (*reportData, error) {
-	a, err := buildAnalysis(design, addrWidth, seed)
+	d, err := designs.Build(design, addrWidth, designs.DefaultWords, seed)
+	if err != nil {
+		return nil, err
+	}
+	a, err := d.Analyze()
 	if err != nil {
 		return nil, err
 	}
@@ -189,38 +190,5 @@ func renderText(w io.Writer, r *reportData) {
 	}
 	for _, d := range r.Dominance {
 		fmt.Fprintf(w, "  %s\n", d)
-	}
-}
-
-// buildAnalysis assembles the zone analysis for a named design, the
-// same design vocabulary as cmd/drc (minus the worksheet, which static
-// fault analysis never consults).
-func buildAnalysis(design string, addrWidth int, seed uint64) (*zones.Analysis, error) {
-	switch design {
-	case "v1", "v2":
-		cfg := memsys.V1Config()
-		if design == "v2" {
-			cfg = memsys.V2Config()
-		}
-		cfg.AddrWidth = addrWidth
-		d, err := memsys.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return d.Analyze()
-	case "cpu", "cpu-lockstep":
-		cfg := frcpu.PlainConfig()
-		if design == "cpu-lockstep" {
-			cfg = frcpu.LockstepConfig()
-		}
-		d, err := frcpu.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return d.Analyze()
-	case "rand":
-		return zones.Extract(randckt.Generate(randckt.Default(), seed), zones.DefaultConfig())
-	default:
-		return nil, fmt.Errorf("unknown design %q (want v1, v2, cpu, cpu-lockstep or rand)", design)
 	}
 }

@@ -1,5 +1,5 @@
-// Command zones runs the sensible-zone extraction tool over a memory
-// sub-system implementation and dumps the zones, their logic-cone
+// Command zones runs the sensible-zone extraction tool over a catalogue
+// design (internal/designs) and dumps the zones, their logic-cone
 // statistics, and the strongest inter-zone correlations (shared cone
 // gates — wide-fault exposure).
 package main
@@ -8,26 +8,20 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
-	"repro/internal/memsys"
+	"repro/internal/designs"
 	"repro/internal/report"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("zones: ")
-	design := flag.String("design", "v2", "implementation: v1 or v2")
+	design := flag.String("design", "v2", "design: "+designs.Vocabulary(false))
 	addrWidth := flag.Int("addr", 8, "address width (memory words = 2^addr)")
 	topCorr := flag.Int("corr", 10, "number of correlations to list")
 	flag.Parse()
 
-	cfg, err := configFor(*design)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.AddrWidth = *addrWidth
-	d, err := memsys.Build(cfg)
+	d, err := designs.Build(*design, *addrWidth, designs.DefaultWords, designs.DefaultSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,15 +52,3 @@ func main() {
 	}
 	fmt.Println(ct.Render())
 }
-
-func configFor(design string) (memsys.Config, error) {
-	switch design {
-	case "v1":
-		return memsys.V1Config(), nil
-	case "v2":
-		return memsys.V2Config(), nil
-	}
-	return memsys.Config{}, fmt.Errorf("unknown design %q (want v1 or v2)", design)
-}
-
-var _ = os.Exit

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/fit"
 	"repro/internal/fmea"
-	"repro/internal/frcpu"
 	"repro/internal/inject"
 	"repro/internal/injecttest"
 	"repro/internal/telemetry"
@@ -57,47 +55,23 @@ type campaign struct {
 }
 
 // buildCampaign constructs a reduced campaign for one of the three
-// case studies. The v1/v2 designs go through dist.Spec — the exact
-// code path cmd/campaignd and worker processes share — and the
-// lockstep CPU is built directly (it has no Spec encoding; in-process
-// tests don't need one).
+// case studies through dist.Spec — the exact code path cmd/injector,
+// cmd/campaignd and worker processes share — so every cell of the
+// matrix also checks a Spec-built campaign against the scalar
+// reference.
 func buildCampaign(t testing.TB, kind string) campaign {
 	t.Helper()
-	switch kind {
-	case "v1", "v2":
-		c, err := dist.Spec{
-			Design: kind, AddrWidth: 6, Words: 2,
-			Transient: 1, Permanent: 1, Wide: 4, Seed: 5,
-		}.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return campaign{
-			target: c.Target, golden: c.Golden, plan: sample(c.Plan),
-			analysis: c.Analysis, worksheet: c.Worksheet,
-		}
-	case "lockstep":
-		d, err := frcpu.Build(frcpu.LockstepConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := d.Analyze()
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := d.InjectionTarget(a)
-		g, err := target.RunGolden(d.Workload(120))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := inject.BuildPlan(a, g, inject.PlanConfig{TransientPerZone: 1, PermanentPerZone: 1, Seed: 3})
-		return campaign{
-			target: target, golden: g, plan: sample(plan),
-			analysis: a, worksheet: d.Worksheet(a, fit.Default()),
-		}
-	default:
-		t.Fatalf("unknown campaign kind %q", kind)
-		return campaign{}
+	sp := dist.Spec{Design: kind, AddrWidth: 6, Words: 2, Transient: 1, Permanent: 1, Wide: 4, Seed: 5}
+	if kind == "lockstep" {
+		sp.Design = "cpu-lockstep"
+	}
+	c, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return campaign{
+		target: c.Target, golden: c.Golden, plan: sample(c.Plan),
+		analysis: c.Analysis, worksheet: c.Worksheet,
 	}
 }
 

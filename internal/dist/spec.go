@@ -2,12 +2,11 @@ package dist
 
 import (
 	"fmt"
-	"strconv"
 
+	"repro/internal/designs"
 	"repro/internal/fit"
 	"repro/internal/fmea"
 	"repro/internal/inject"
-	"repro/internal/memsys"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/zones"
@@ -18,11 +17,15 @@ import (
 // nothing heavyweight crosses the wire — and the resulting plan
 // fingerprint (hash + length) is validated at hello, so a worker built
 // from different parameters is turned away before it can contribute a
-// single record.
+// single record. cmd/injector builds its single-process campaign from
+// the same Spec, so the three front ends cannot disagree on what a set
+// of flags means.
 type Spec struct {
-	// Design selects the implementation: "v1" or "v2".
+	// Design is a name from the design catalogue (internal/designs)
+	// that has a DUT: "v1", "v2", "cpu" or "cpu-lockstep".
 	Design string
-	// AddrWidth and Words shape the memory and its March workload.
+	// AddrWidth and Words shape the memory designs and their March
+	// workload; the CPU designs ignore them.
 	AddrWidth int
 	Words     int
 	// Transient/Permanent are per-zone experiment counts; Wide is the
@@ -30,8 +33,8 @@ type Spec struct {
 	Transient int
 	Permanent int
 	Wide      int
-	// Seed drives plan construction (WidePlan uses Seed+1, matching
-	// cmd/injector).
+	// Seed drives the workload and plan construction (WidePlan uses
+	// Seed+1).
 	Seed uint64
 	// Warmstart is the golden snapshot cadence in cycles (0 = cold
 	// start). A local throughput knob: it is applied before the golden
@@ -40,37 +43,31 @@ type Spec struct {
 	Warmstart int
 }
 
-// TraceID derives the campaign-scoped trace id every process in one
-// distributed run agrees on: a pure function of the campaign-defining
-// spec fields, so coordinator and workers label their span journals
-// with the same trace before the first lease carries it over the wire.
-// Warmstart is excluded — like the plan fingerprint, the trace
-// identifies the campaign, and warm start is a process-local knob.
-func (sp Spec) TraceID() uint64 {
-	return telemetry.TraceID("dist", sp.Design,
-		strconv.Itoa(sp.AddrWidth), strconv.Itoa(sp.Words),
-		strconv.Itoa(sp.Transient), strconv.Itoa(sp.Permanent),
-		strconv.Itoa(sp.Wide), strconv.FormatUint(sp.Seed, 10))
-}
-
 // Key renders the campaign-defining spec fields as one canonical
-// string — the cheap pre-build identity of a campaign. The plan
-// fingerprint validated at hello is derived from the *built* plan and
-// costs a golden run; Key costs a Sprintf, which is what a
-// content-addressed result cache (internal/serve) wants to consult
-// before deciding whether to build anything at all. Warmstart is
-// excluded for the same reason it is excluded from TraceID: it is a
-// process-local throughput knob that never alters a result byte.
+// string — the cheap pre-build identity of a campaign, and the only
+// place that lists those fields. The plan fingerprint validated at
+// hello is derived from the *built* plan and costs a golden run; Key
+// costs a Sprintf, which is what a content-addressed result cache
+// (internal/serve) wants to consult before deciding whether to build
+// anything at all. Warmstart is excluded: it is a process-local
+// throughput knob that never alters a result byte.
 func (sp Spec) Key() string {
 	return fmt.Sprintf("%s/a%d/w%d/t%d/p%d/g%d/s%d",
 		sp.Design, sp.AddrWidth, sp.Words, sp.Transient, sp.Permanent, sp.Wide, sp.Seed)
+}
+
+// TraceID derives the campaign-scoped trace id every process in one
+// run agrees on — a hash of Key, so coordinator, workers and the
+// single-process injector label their span journals with the same
+// trace before the first lease carries it over the wire.
+func (sp Spec) TraceID() uint64 {
+	return telemetry.TraceID("campaign", sp.Key())
 }
 
 // Campaign is a fully built campaign: everything a coordinator needs
 // to merge and render, and everything a worker needs to run leases.
 type Campaign struct {
 	Name      string
-	Design    *memsys.Design
 	Analysis  *zones.Analysis
 	Target    *inject.Target
 	Golden    *inject.Golden
@@ -79,50 +76,53 @@ type Campaign struct {
 	Worksheet *fmea.Worksheet
 }
 
-// Build constructs the campaign: design, zone analysis, injection
-// target, golden run, plan and worksheet — the same sequence as
-// cmd/injector, so a Spec-built plan hashes identically to the
-// single-process campaign with the same flags.
-func (sp Spec) Build() (*Campaign, error) {
-	var cfg memsys.Config
-	switch sp.Design {
-	case "v1":
-		cfg = memsys.V1Config()
-	case "v2":
-		cfg = memsys.V2Config()
-	default:
-		return nil, fmt.Errorf("dist: unknown design %q (want v1 or v2)", sp.Design)
+// Build constructs the campaign with no observer; see BuildObserved.
+func (sp Spec) Build() (*Campaign, error) { return sp.BuildObserved(nil) }
+
+// BuildObserved is the one campaign set-up sequence: catalogue design,
+// zone analysis, injection target, golden run, plan and worksheet.
+// Every front end runs it, so equal specs give equal plan fingerprints
+// in every process. tel (nil-safe) sees the phases build,
+// zone-extraction, golden-run and plan, and stays attached to the
+// returned target so the campaign reports to the same hub.
+func (sp Spec) BuildObserved(tel *telemetry.Campaign) (*Campaign, error) {
+	tel.Phase("build")
+	dut, err := designs.BuildDUT(sp.Design, sp.AddrWidth, sp.Words, sp.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	cfg.AddrWidth = sp.AddrWidth
-	d, err := memsys.Build(cfg)
+	tel.Phase("zone-extraction")
+	a, err := dut.Analyze()
 	if err != nil {
 		return nil, err
 	}
-	a, err := d.Analyze()
-	if err != nil {
-		return nil, err
-	}
-	target := d.InjectionTargetSeeded(a, d.SeedFaults())
+	target := dut.Target(a)
 	target.SnapshotEvery = sp.Warmstart
-	tr := d.ValidationWorkload(sp.Words, sp.Seed)
+	target.Telemetry = tel
+	tr := dut.ValidationTrace()
+	tel.Phase("golden-run")
 	g, err := target.RunGolden(tr)
 	if err != nil {
 		return nil, err
 	}
+	tel.Phase("plan")
 	plan := inject.BuildPlan(a, g, inject.PlanConfig{
 		TransientPerZone: sp.Transient,
 		PermanentPerZone: sp.Permanent,
 		Seed:             sp.Seed,
 	})
 	plan = append(plan, inject.WidePlan(a, g, sp.Wide, sp.Seed+1)...)
+	wks := dut.Worksheet(a, fit.Default())
+	// Close the last phase: what the caller starts next (lease spans,
+	// the campaign phase) parents under its own root, not under "plan".
+	tel.PhaseDone()
 	return &Campaign{
-		Name:      cfg.Name,
-		Design:    d,
+		Name:      dut.DesignName(),
 		Analysis:  a,
 		Target:    target,
 		Golden:    g,
 		Trace:     tr,
 		Plan:      plan,
-		Worksheet: d.Worksheet(a, fit.Default()),
+		Worksheet: wks,
 	}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -21,11 +20,11 @@ const maxSubmissionBytes = 1 << 20
 //	GET    /jobs                list job statuses
 //	GET    /jobs/{id}           one job's status
 //	GET    /jobs/{id}/progress  live per-job campaign snapshot (telemetry.Snapshot)
-//	GET    /jobs/{id}/metrics   per-job metrics (Prometheus text; JSON via Accept)
+//	GET    /jobs/{id}/metrics   per-job metrics (Prometheus text; JSON at metrics.json)
 //	GET    /jobs/{id}/report    the finished report — byte-identical to cmd/certify
 //	GET    /jobs/{id}/journal   the job's JSONL run journal (events + tracer spans)
 //	DELETE /jobs/{id}           cancel a queued or running job
-//	GET    /metrics             daemon metrics (queue, cache, stage latencies)
+//	GET    /metrics             daemon metrics (queue, cache, stage latencies; JSON at /metrics.json)
 //	GET    /healthz             liveness + drain state
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -138,13 +137,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, _ *http.Request, job *Job)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
-	if strings.HasSuffix(r.URL.Path, ".json") || strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSONStatus(w, http.StatusOK, snap)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	telemetry.WritePrometheus(w, snap)
+	telemetry.ServeMetrics(w, r, s.reg)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

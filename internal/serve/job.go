@@ -7,11 +7,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/designs"
 	"repro/internal/dist"
-	"repro/internal/frcpu"
 	"repro/internal/iec61508"
 	"repro/internal/inject"
-	"repro/internal/memsys"
 	"repro/internal/telemetry"
 )
 
@@ -28,7 +27,7 @@ const EngineVersion = "e24"
 // "validate":true} grades the paper's memory subsystem exactly as
 // `certify -design v2 -validate` does — byte for byte.
 type Submission struct {
-	// Design selects the DUT: "v1", "v2", "cpu" or "cpu-lockstep".
+	// Design is a design-catalogue name that has a DUT (designs.CheckDUT).
 	Design string `json:"design"`
 	// AddrWidth and Words shape the memory designs and their March
 	// workload (ignored by the CPU designs).
@@ -55,10 +54,10 @@ type Submission struct {
 // cache entry.
 func (s *Submission) normalize() {
 	if s.AddrWidth == 0 {
-		s.AddrWidth = 8
+		s.AddrWidth = designs.DefaultAddr
 	}
 	if s.Words == 0 {
-		s.Words = 8
+		s.Words = designs.DefaultWords
 	}
 	if s.Transient == 0 {
 		s.Transient = 1
@@ -70,7 +69,7 @@ func (s *Submission) normalize() {
 		s.Wide = core.DefaultOptions().WideFaults
 	}
 	if s.Seed == 0 {
-		s.Seed = 1
+		s.Seed = designs.DefaultSeed
 	}
 	if s.TargetSIL == 0 {
 		s.TargetSIL = int(iec61508.SIL3)
@@ -84,12 +83,8 @@ func (s *Submission) normalize() {
 // submission must not be able to pin a worker for hours, so the shape
 // parameters are clamped to the scale the case studies exercise.
 func (s *Submission) validate() error {
-	switch s.Design {
-	case "v1", "v2", "cpu", "cpu-lockstep":
-	case "":
-		return fmt.Errorf("serve: submission needs a design (v1, v2, cpu or cpu-lockstep)")
-	default:
-		return fmt.Errorf("serve: unknown design %q (want v1, v2, cpu or cpu-lockstep)", s.Design)
+	if err := designs.CheckDUT(s.Design); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	check := func(name string, v, lo, hi int) error {
 		if v < lo || v > hi {
@@ -143,36 +138,10 @@ func (s Submission) Key() string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// dut builds the design under test exactly as cmd/certify does, so a
-// served report is byte-identical to the CLI's.
+// dut builds the design under test from the catalogue, as cmd/certify
+// does, so a served report is byte-identical to the CLI's.
 func (s Submission) dut() (core.DUT, error) {
-	switch s.Design {
-	case "v1", "v2":
-		cfg := memsys.V1Config()
-		if s.Design == "v2" {
-			cfg = memsys.V2Config()
-		}
-		cfg.AddrWidth = s.AddrWidth
-		d, err := memsys.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		f := memsys.NewFlowDUT(d)
-		f.ValidationWords = s.Words
-		f.Seed = s.Seed
-		return f, nil
-	case "cpu", "cpu-lockstep":
-		cfg := frcpu.PlainConfig()
-		if s.Design == "cpu-lockstep" {
-			cfg = frcpu.LockstepConfig()
-		}
-		d, err := frcpu.Build(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return frcpu.NewFlowDUT(d), nil
-	}
-	return nil, fmt.Errorf("serve: unknown design %q", s.Design)
+	return designs.BuildDUT(s.Design, s.AddrWidth, s.Words, s.Seed)
 }
 
 // options maps the submission onto core.Options the way cmd/certify

@@ -2,26 +2,12 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
-)
-
-// current is the campaign the process-wide expvar publication reads
-// from; ServeStatus installs its campaign here and Close releases it
-// again. expvar.Publish is once-per-name for the process lifetime, so
-// the variable indirects through this pointer instead of capturing one
-// campaign — and a long-running process that cycles many campaigns
-// through ServeStatus retains none of them once their server is closed.
-var (
-	current    atomic.Pointer[Campaign]
-	publishVar sync.Once
 )
 
 // DefaultLoopback rewrites a listen address so that an empty address
@@ -51,8 +37,9 @@ func DefaultLoopback(addr string) string {
 
 // StatusServer is the live-campaign HTTP endpoint: /progress (campaign
 // snapshot JSON), /metrics (Prometheus text format 0.0.4),
-// /metrics.json (registry snapshot JSON), /debug/vars (expvar,
-// including the campaign registry) and /debug/pprof/*.
+// /metrics.json (registry snapshot JSON) and /debug/pprof/*. It holds
+// no process-global state: a process may cycle many campaigns through
+// ServeStatus and retains none of them once their server is closed.
 //
 // Security note: the campaign endpoint is unauthenticated and pprof
 // exposes process internals, so ServeStatus binds loopback unless the
@@ -63,8 +50,6 @@ type StatusServer struct {
 	// Addr is the bound address (useful with a ":0" listener).
 	Addr string
 	srv  *http.Server
-	ln   net.Listener
-	c    *Campaign
 }
 
 // ServeStatus starts the status server for the campaign and returns
@@ -87,30 +72,19 @@ func serveStatus(addr string, c *Campaign) (*StatusServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: status server: %w", err)
 	}
-	current.Store(c)
-	publishVar.Do(func() {
-		expvar.Publish("campaign", expvar.Func(func() any {
-			cc := current.Load()
-			if cc == nil || cc.Registry == nil {
-				return nil
-			}
-			return cc.Registry.Snapshot()
-		}))
-	})
 
 	mux := http.NewServeMux()
 	ch := CampaignHandler(c)
 	mux.Handle("/progress", ch)
 	mux.Handle("/metrics", ch)
 	mux.Handle("/metrics.json", ch)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	s := &StatusServer{Addr: ln.Addr().String(), srv: newHTTPServer(mux), ln: ln, c: c}
+	s := &StatusServer{Addr: ln.Addr().String(), srv: newHTTPServer(mux)}
 	go s.srv.Serve(ln) //nolint:errcheck — Serve returns ErrServerClosed on Close
 	return s, nil
 }
@@ -128,52 +102,45 @@ func newHTTPServer(h http.Handler) *http.Server {
 }
 
 // CampaignHandler serves one campaign's observer endpoints — /progress
-// (snapshot JSON), /metrics (Prometheus text, or the JSON registry
-// snapshot under an explicit Accept: application/json) and
-// /metrics.json — relative to its own mux root. It is the per-campaign
-// building block: ServeStatus mounts one for the process campaign, and
-// a multi-campaign daemon (internal/serve) mounts one per job under
-// /jobs/{id}/.
+// (snapshot JSON), /metrics and /metrics.json (ServeMetrics) — relative
+// to its own mux root. It is the per-campaign building block:
+// ServeStatus mounts one for the process campaign, and a multi-campaign
+// daemon (internal/serve) mounts one per job under /jobs/{id}/.
 func CampaignHandler(c *Campaign) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, c.Snapshot())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+	metrics := func(w http.ResponseWriter, r *http.Request) {
 		if c == nil || c.Registry == nil {
 			http.Error(w, "no campaign", http.StatusNotFound)
 			return
 		}
-		// /metrics served the JSON registry snapshot before it became
-		// Prometheus text format (JSON moved to /metrics.json); honor an
-		// explicit JSON Accept so pre-migration scrapers keep working.
-		if strings.Contains(r.Header.Get("Accept"), "application/json") {
-			writeJSON(w, c.Registry.Snapshot())
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, c.Registry.Snapshot())
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		if c == nil || c.Registry == nil {
-			http.Error(w, "no campaign", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, c.Registry.Snapshot())
-	})
+		ServeMetrics(w, r, c.Registry)
+	}
+	mux.HandleFunc("/metrics", metrics)
+	mux.HandleFunc("/metrics.json", metrics)
 	return mux
 }
 
-// Close shuts the listener down and releases the campaign installed in
-// the process-wide expvar pointer, so /debug/vars renders null instead
-// of the dead campaign's registry and the campaign itself becomes
-// collectable. The release is a compare-and-swap: when a newer server
-// has already installed its own campaign, that one is left alone.
+// ServeMetrics renders a registry the two ways every server in the
+// repo exposes it: the JSON snapshot on a path ending in ".json",
+// Prometheus text format 0.0.4 on any other.
+func ServeMetrics(w http.ResponseWriter, r *http.Request, reg *Registry) {
+	snap := reg.Snapshot()
+	if strings.HasSuffix(r.URL.Path, ".json") {
+		writeJSON(w, snap)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	WritePrometheus(w, snap)
+}
+
+// Close shuts the listener down.
 func (s *StatusServer) Close() error {
 	if s == nil {
 		return nil
 	}
-	current.CompareAndSwap(s.c, nil)
 	s.srv.SetKeepAlivesEnabled(false)
 	return s.srv.Close()
 }

@@ -32,14 +32,12 @@ func TestDefaultLoopback(t *testing.T) {
 	}
 }
 
-// TestServeStatusSequentialLifecycles runs two full ServeStatus
-// lifecycles in one process: each server must expose its own campaign's
-// /progress and expvar snapshot, and Close must release the process-wide
-// campaign pointer so /debug/vars renders null instead of retaining the
-// dead campaign — while a Close racing a newer server leaves the newer
-// campaign installed.
+// TestServeStatusSequentialLifecycles runs ServeStatus lifecycles back
+// to back in one process: each server must expose its own campaign on
+// /progress and /metrics.json — never an earlier one's — and closing an
+// older server must leave a newer one serving.
 func TestServeStatusSequentialLifecycles(t *testing.T) {
-	expDone := func(t *testing.T, addr string, path string) int64 {
+	get := func(t *testing.T, addr, path string, into any) {
 		t.Helper()
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -53,95 +51,55 @@ func TestServeStatusSequentialLifecycles(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 		}
-		var snap Snapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
+		if err := json.Unmarshal(body, into); err != nil {
 			t.Fatalf("GET %s: %v\n%s", path, err, body)
 		}
-		return snap.Done
 	}
-	vars := func(t *testing.T, addr string) string {
+	serve := func(t *testing.T, total, done int) *StatusServer {
 		t.Helper()
-		resp, err := http.Get("http://" + addr + "/debug/vars")
+		c := NewCampaign(nil, nil)
+		c.PlanBuilt(total, 1, 9)
+		for i := 0; i < done; i++ {
+			st := c.ExpStart(i)
+			c.ExpFinish(i, "safe-detected", false, 1, 4, st)
+		}
+		s, err := ServeStatus("127.0.0.1:0", c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		return s
+	}
+	check := func(t *testing.T, s *StatusServer, want int64) {
+		t.Helper()
+		var snap Snapshot
+		get(t, s.Addr, "/progress", &snap)
+		if snap.Done != want {
+			t.Fatalf("/progress done = %d, want %d", snap.Done, want)
 		}
-		return string(body)
+		var reg RegistrySnapshot
+		get(t, s.Addr, "/metrics.json", &reg)
+		if got := reg.Counters["exp_done"]; got != want {
+			t.Fatalf("/metrics.json exp_done = %d, want %d (another server's campaign?)", got, want)
+		}
 	}
 
-	// Lifecycle 1.
-	c1 := NewCampaign(nil, nil)
-	c1.PlanBuilt(5, 1, 9)
-	st := c1.ExpStart(0)
-	c1.ExpFinish(0, "safe-detected", false, 1, 4, st)
-	s1, err := ServeStatus("127.0.0.1:0", c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := expDone(t, s1.Addr, "/progress"); got != 1 {
-		t.Fatalf("lifecycle 1 /progress done = %d, want 1", got)
-	}
-	if v := vars(t, s1.Addr); !strings.Contains(v, `"exp_done":1`) {
-		t.Fatalf("lifecycle 1 /debug/vars missing campaign counters:\n%s", v)
-	}
+	s1 := serve(t, 5, 1)
+	check(t, s1, 1)
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := current.Load(); got != nil {
-		t.Fatal("Close left the process-wide campaign pointer installed")
-	}
 
-	// Lifecycle 2: a fresh campaign on a fresh server; the old
-	// campaign's counts must not bleed through the expvar indirection.
-	c2 := NewCampaign(nil, nil)
-	c2.PlanBuilt(7, 1, 9)
-	for i := 0; i < 3; i++ {
-		st := c2.ExpStart(i)
-		c2.ExpFinish(i, "safe-detected", false, 1, 4, st)
-	}
-	s2, err := ServeStatus("127.0.0.1:0", c2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := serve(t, 7, 3)
 	defer s2.Close()
-	if got := expDone(t, s2.Addr, "/progress"); got != 3 {
-		t.Fatalf("lifecycle 2 /progress done = %d, want 3", got)
-	}
-	if v := vars(t, s2.Addr); !strings.Contains(v, `"exp_done":3`) {
-		t.Fatalf("lifecycle 2 /debug/vars serving stale campaign:\n%s", v)
-	}
+	check(t, s2, 3)
 
-	// A newer server's campaign survives an older Close: s3 installs c3,
-	// then closing s2 must not tear c3 down (compare-and-swap release).
-	c3 := NewCampaign(nil, nil)
-	s3, err := ServeStatus("127.0.0.1:0", c3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A newer server survives an older Close.
+	s3 := serve(t, 4, 2)
 	defer s3.Close()
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if current.Load() != c3 {
-		t.Fatal("older Close released a newer server's campaign")
-	}
-	// And closing the newest server renders the expvar null on any
-	// still-running endpoint.
-	if err := s3.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s4, err := ServeStatus("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s4.Close()
-	if v := vars(t, s4.Addr); !strings.Contains(v, `"campaign": null`) {
-		t.Fatalf("/debug/vars should render a released campaign as null:\n%s", v)
-	}
+	check(t, s3, 2)
 }
 
 // TestServeStatusExposed binds exactly the given address — the explicit

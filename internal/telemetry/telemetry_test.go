@@ -185,7 +185,7 @@ type writerFunc func(p []byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestStatusServer boots the server on an ephemeral loopback port and
-// exercises /progress, /metrics, /debug/vars and the pprof index.
+// exercises /progress, /metrics, /metrics.json and the pprof index.
 func TestStatusServer(t *testing.T) {
 	c := NewCampaign(nil, nil)
 	c.PlanBuilt(3, 1, 9)
@@ -242,8 +242,8 @@ func TestStatusServer(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, prom)
 		}
 	}
-	// Pre-Prometheus scrapers of /metrics that ask for JSON explicitly
-	// still get the registry snapshot.
+	// One registry, two renderings: /metrics does not negotiate and
+	// there is no expvar publication.
 	req, err := http.NewRequest("GET", "http://"+s.Addr+"/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -258,16 +258,16 @@ func TestStatusServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg = RegistrySnapshot{}
-	if err := json.Unmarshal(negotiated, &reg); err != nil {
-		t.Fatalf("/metrics with Accept: application/json is not JSON: %v\n%s", err, negotiated)
+	if string(negotiated) != prom {
+		t.Fatalf("/metrics with Accept: application/json is not the Prometheus text:\n%s", negotiated)
 	}
-	if reg.Counters["exp_done"] != 1 {
-		t.Fatalf("negotiated /metrics counters = %v", reg.Counters)
+	resp, err = http.Get("http://" + s.Addr + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	if !strings.Contains(string(get("/debug/vars")), `"campaign"`) {
-		t.Fatal("/debug/vars missing the campaign expvar")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars: status %d, want 404", resp.StatusCode)
 	}
 	if !strings.Contains(string(get("/debug/pprof/")), "goroutine") {
 		t.Fatal("/debug/pprof/ index not served")
