@@ -193,7 +193,7 @@ func runDistributed(t *testing.T, c campaign, o distOpts) *inject.Report {
 		}
 		if o.traced {
 			// One hub per worker process, shared between the protocol
-			// loop and the injection target so experiment spans nest
+			// loop and the injection target so lane-batch spans nest
 			// under the worker-lease span. The trace id arrives on the
 			// wire, so the local tracer starts with zero.
 			wtel := tracedHub(wcfg.Name, 0, &bytes.Buffer{})
@@ -353,10 +353,7 @@ func preparedWorkerColumn(t *testing.T, c campaign, lanes int) {
 	wrapper := wt
 	wrapper.Telemetry = nil
 	prepare := func() *inject.Prepared {
-		camp, err := wt.Prepare(c.golden, c.plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		camp := wt.Prepare(c.golden, c.plan)
 		return camp
 	}
 

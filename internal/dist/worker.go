@@ -38,7 +38,7 @@ type WorkerConfig struct {
 	// Telemetry is the worker's hub (nil = off). With a Tracer
 	// attached, each lease runs under a worker-lease span parented —
 	// via the trace context on the lease message — under the
-	// coordinator's lease span, and the range's experiment spans nest
+	// coordinator's lease span, and the range's lane-batch spans nest
 	// under it, merging the fleet's journals into one trace.
 	Telemetry *telemetry.Campaign
 	// Logf receives scheduling events (nil = silent). Out-of-band.
@@ -67,11 +67,8 @@ func RunWorker(rw io.ReadWriteCloser, cfg WorkerConfig) error {
 		logf = func(string, ...any) {}
 	}
 
-	camp, err := cfg.Target.Prepare(cfg.Golden, cfg.Plan)
-	if err != nil {
-		return fmt.Errorf("dist: worker: prepare: %w", err)
-	}
-	err = conn.Write(&Msg{
+	camp := cfg.Target.Prepare(cfg.Golden, cfg.Plan)
+	err := conn.Write(&Msg{
 		T:        MsgHello,
 		V:        ProtocolVersion,
 		Worker:   cfg.Name,
@@ -100,7 +97,7 @@ func RunWorker(rw io.ReadWriteCloser, cfg WorkerConfig) error {
 			logf("lease %d: running range [%d,%d)", m.Lease, m.Lo, m.Hi)
 			// Open the worker-lease span under the coordinator's lease
 			// span (rparent over the wire) and make it the ambient
-			// trace root so the range's experiment spans nest inside.
+			// trace root so the range's lane-batch spans nest inside.
 			tel := cfg.Telemetry
 			lease, lo, hi := m.Lease, m.Lo, m.Hi
 			lsp := tel.StartRemoteSpan("worker-lease", m.Trace, m.Span, func(e *telemetry.Enc) {

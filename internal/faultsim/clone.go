@@ -20,7 +20,7 @@ import (
 func (e *Engine) Clone() *Engine {
 	return &Engine{
 		n:         e.n,
-		prog:      e.prog, // immutable, shared read-only
+		prog:      e.prog,      // immutable, shared read-only
 		Telemetry: e.Telemetry, // shared hub; counters are atomic
 		Collapse:  e.Collapse,
 	}
@@ -103,14 +103,14 @@ func (e *Engine) simulate(tr *workload.Trace, funcObs, diagObs []netlist.NetID, 
 	if workers > nchunks {
 		workers = nchunks
 	}
-	portNets, err := e.resolvePorts(tr)
+	ports, err := tr.InputPorts(e.n)
 	if err != nil {
-		return err
+		return fmt.Errorf("faultsim: %w", err)
 	}
 	if workers <= 1 {
 		for base := 0; base < len(list); base += lanesPerPass {
 			hi := min(base+lanesPerPass, len(list))
-			e.runChunk(tr, portNets, funcObs, diagObs, list[base:hi], per[base:hi])
+			e.runChunk(tr, ports, funcObs, diagObs, list[base:hi], per[base:hi])
 		}
 		return nil
 	}
@@ -131,7 +131,7 @@ func (e *Engine) simulate(tr *workload.Trace, funcObs, diagObs []netlist.NetID, 
 				}
 				base := ci * lanesPerPass
 				hi := min(base+lanesPerPass, len(list))
-				eng.runChunk(tr, portNets, funcObs, diagObs, list[base:hi], per[base:hi])
+				eng.runChunk(tr, ports, funcObs, diagObs, list[base:hi], per[base:hi])
 			}
 		}()
 	}

@@ -1,8 +1,8 @@
 // Package faultsim is the gate-level fault simulator of the validation
 // flow (Section 5c): a 64-way bit-parallel single-stuck-at simulator
-// (PPSFP — parallel-pattern single-fault propagation across lanes) plus
-// the toggle-coverage measurement used to qualify workload efficiency
-// (Section 5b).
+// (PPSFP — parallel-pattern single-fault propagation across lanes). The
+// toggle-coverage measurement that qualifies workload efficiency
+// (Section 5b) is inject.Target.ToggleCoverage.
 //
 // Lane 0 always carries the golden circuit; lanes 1..63 each carry one
 // faulty circuit, so one pass simulates 63 faults against the whole
@@ -121,9 +121,9 @@ func (e *Engine) Run(tr *workload.Trace, funcObs, diagObs []netlist.NetID, list 
 
 // runChunk simulates one chunk of up to 63 faults and records the
 // per-fault verdicts into per[base:base+len(chunk)].
-func (e *Engine) runChunk(tr *workload.Trace, portNets [][]netlist.NetID, funcObs, diagObs []netlist.NetID, chunk []faults.Fault, per []Detection) {
+func (e *Engine) runChunk(tr *workload.Trace, ports []netlist.Port, funcObs, diagObs []netlist.NetID, chunk []faults.Fault, per []Detection) {
 	sp := e.Telemetry.StartSpanInt("faultsim-chunk", "faults", int64(len(chunk)))
-	funcMask, diagMask := e.runPass(tr, portNets, funcObs, diagObs, chunk)
+	funcMask, diagMask := e.runPass(tr, ports, funcObs, diagObs, chunk)
 	for i := range chunk {
 		lane := uint(i + 1)
 		per[i].Func = funcMask>>lane&1 == 1
@@ -134,29 +134,11 @@ func (e *Engine) runChunk(tr *workload.Trace, portNets [][]netlist.NetID, funcOb
 	sp.End()
 }
 
-// resolvePorts maps the trace's input ports onto netlist nets once per
-// campaign; the result is shared read-only across workers. An unknown
-// port is a caller error reported as such — not a panic, and never a
-// silently skipped port (which would simulate a partially-driven
-// design). Run, RunParallel and ToggleCoverage all resolve through
-// here so the paths cannot disagree.
-func (e *Engine) resolvePorts(tr *workload.Trace) ([][]netlist.NetID, error) {
-	portNets := make([][]netlist.NetID, len(tr.Ports))
-	for i, name := range tr.Ports {
-		p, ok := e.n.FindInput(name)
-		if !ok {
-			return nil, fmt.Errorf("faultsim: trace port %q is not an input of %q", name, e.n.Name)
-		}
-		portNets[i] = p.Nets
-	}
-	return portNets, nil
-}
-
 // runPass simulates golden + one chunk of faults through the full trace
 // on a fresh binary machine, returning lane masks of func/diag
 // detections. Each fault occupies its own lane, so the per-lane
 // stuck-at masks of one force slot never overlap.
-func (e *Engine) runPass(tr *workload.Trace, portNets [][]netlist.NetID, funcObs, diagObs []netlist.NetID, chunk []faults.Fault) (funcMask, diagMask uint64) {
+func (e *Engine) runPass(tr *workload.Trace, ports []netlist.Port, funcObs, diagObs []netlist.NetID, chunk []faults.Fault) (funcMask, diagMask uint64) {
 	m := simc.NewBinMachine(e.prog)
 	for i, f := range chunk {
 		lane := uint64(1) << uint(i+1)
@@ -184,9 +166,9 @@ func (e *Engine) runPass(tr *workload.Trace, portNets [][]netlist.NetID, funcObs
 	m.ResetState()
 	for cycle := 0; cycle < tr.Cycles(); cycle++ {
 		vec := tr.Vecs[cycle]
-		for pi, nets := range portNets {
+		for pi := range ports {
 			v := vec[pi]
-			for bit, id := range nets {
+			for bit, id := range ports[pi].Nets {
 				var w uint64
 				if v>>uint(bit)&1 == 1 {
 					w = ^uint64(0)

@@ -226,54 +226,6 @@ func TestResultCounters(t *testing.T) {
 	}
 }
 
-func TestToggleCoverageFull(t *testing.T) {
-	n := buildAdder(t)
-	e, _ := New(n)
-	// Exhaustive stimulus toggles everything in an adder.
-	tr := workload.NewTrace("a", "b")
-	for a := uint64(0); a < 16; a++ {
-		for b := uint64(0); b < 16; b++ {
-			tr.Add(map[string]uint64{"a": a, "b": b})
-		}
-	}
-	tr.AddIdle(1)
-	rep, err := e.ToggleCoverage(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Coverage() < 1.0 {
-		names := make([]string, 0, len(rep.Untoggled))
-		for _, id := range rep.Untoggled {
-			names = append(names, n.NetName(id))
-		}
-		t.Errorf("toggle coverage = %v, untoggled: %v", rep.Coverage(), names)
-	}
-	if !rep.Passes(0.99) {
-		t.Error("Passes(0.99) = false on full coverage")
-	}
-}
-
-func TestToggleCoveragePartial(t *testing.T) {
-	n := buildAdder(t)
-	e, _ := New(n)
-	tr := workload.NewTrace("a", "b")
-	tr.Add(map[string]uint64{"a": 0, "b": 0}) // nothing moves
-	tr.Add(map[string]uint64{"a": 0, "b": 0})
-	rep, err := e.ToggleCoverage(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Coverage() >= 0.5 {
-		t.Errorf("all-zero stimulus should toggle little, got %v", rep.Coverage())
-	}
-	if rep.Passes(0.99) {
-		t.Error("Passes(0.99) = true on dead stimulus")
-	}
-	if len(rep.Untoggled) != rep.Eligible-rep.Covered {
-		t.Error("Untoggled list inconsistent")
-	}
-}
-
 func TestSequentialFaultPropagation(t *testing.T) {
 	// Fault on a register feedback path: counter with stuck-at on the
 	// increment carry. Detection requires multiple cycles.
@@ -304,9 +256,6 @@ func TestUnknownTracePortIsError(t *testing.T) {
 	e, _ := New(n)
 	tr := workload.NewTrace("a", "nosuchport")
 	tr.Add(map[string]uint64{"a": 1, "nosuchport": 1})
-	if _, err := e.ToggleCoverage(tr); err == nil {
-		t.Error("ToggleCoverage accepted an unknown trace port")
-	}
 	list := []faults.Fault{{Kind: faults.SA0, Net: 0}}
 	if _, err := e.Run(tr, nil, nil, list); err == nil {
 		t.Error("Run accepted an unknown trace port")

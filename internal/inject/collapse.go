@@ -225,8 +225,8 @@ func collapseKey(sf *statfault.Analysis, inj Injection) (planKey, bool) {
 // quiescence holds the golden value streams of the plan's fault sites
 // at the two instants a force can matter: settled before the clock edge
 // (what flip-flops latch and peripherals sample) and settled after it
-// (what the monitors read). Recorded by one extra golden-replica
-// simulation that follows runOne's cycle protocol exactly.
+// (what the monitors read). Recorded by one extra fault-free replay on
+// a kernel lane, on the campaign's own cycle driver.
 type quiescence struct {
 	cycles int
 	pre    map[netlist.NetID][]sim.Value
@@ -265,8 +265,9 @@ func (t *Target) traceQuiescence(g *Golden, plan []Injection) *quiescence {
 			}
 		}
 	}
+	tr := g.Trace
 	q := &quiescence{
-		cycles: g.Trace.Cycles(),
+		cycles: tr.Cycles(),
 		pre:    map[netlist.NetID][]sim.Value{},
 		post:   map[netlist.NetID][]sim.Value{},
 		ffPost: map[netlist.FFID][]sim.Value{},
@@ -277,38 +278,31 @@ func (t *Target) traceQuiescence(g *Golden, plan []Injection) *quiescence {
 	nets := make([]netlist.NetID, 0, len(netSet))
 	for id := range netSet { //det:order sorted below
 		nets = append(nets, id)
+		q.pre[id] = make([]sim.Value, tr.Cycles())
+		q.post[id] = make([]sim.Value, tr.Cycles())
 	}
 	sort.Slice(nets, func(i, j int) bool { return nets[i] < nets[j] })
 	ffs := make([]netlist.FFID, 0, len(ffSet))
 	for id := range ffSet { //det:order sorted below
 		ffs = append(ffs, id)
+		q.ffPost[id] = make([]sim.Value, tr.Cycles())
 	}
 	sort.Slice(ffs, func(i, j int) bool { return ffs[i] < ffs[j] })
-
-	s, err := t.NewInstance()
+	d, err := t.coldLane(g.prog, tr, g.ports)
 	if err != nil {
 		return nil
 	}
-	tr := g.Trace
-	for _, id := range nets {
-		q.pre[id] = make([]sim.Value, tr.Cycles())
-		q.post[id] = make([]sim.Value, tr.Cycles())
-	}
-	for _, id := range ffs {
-		q.ffPost[id] = make([]sim.Value, tr.Cycles())
-	}
 	for c := 0; c < tr.Cycles(); c++ {
-		tr.ApplyTo(s, c)
-		s.Eval()
+		d.eval(c)
 		for _, id := range nets {
-			q.pre[id][c] = s.Net(id)
+			q.pre[id][c] = d.m.NetValue(0, id)
 		}
-		s.Step()
+		d.step()
 		for _, id := range nets {
-			q.post[id][c] = s.Net(id)
+			q.post[id][c] = d.m.NetValue(0, id)
 		}
 		for _, id := range ffs {
-			q.ffPost[id][c] = s.FFState(id)
+			q.ffPost[id][c] = d.m.FFValue(0, id)
 		}
 	}
 	t.Telemetry.AddSimCycles(int64(tr.Cycles()))

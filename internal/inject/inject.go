@@ -19,6 +19,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netlist"
 	"repro/internal/sim"
+	"repro/internal/simc"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/zones"
@@ -100,8 +101,13 @@ type Golden struct {
 	Activity [][]int
 	// snaps are golden-state snapshots in ascending cycle order
 	// (captured at Target.SnapshotEvery cadence); shared read-only
-	// across worker goroutines, restored via Simulator.Restore.
+	// across worker goroutines, loaded into kernel lanes (and restored
+	// by the reference runner via Simulator.Restore).
 	snaps []*sim.Snapshot
+	// prog is the compiled kernel program and ports the trace's input
+	// ports resolved against it; every replay of the trace shares them.
+	prog  *simc.Program
+	ports []netlist.Port
 }
 
 // snapshotAtOrBefore returns the latest golden snapshot whose resume
@@ -120,11 +126,13 @@ func (g *Golden) snapshotAtOrBefore(cycle int) *sim.Snapshot {
 	return best
 }
 
-// RunGolden performs the fault-free reference simulation, recording
-// observation traces and the operational profile.
+// RunGolden performs the fault-free reference simulation on one lane of
+// the compiled kernel, recording observation traces and the operational
+// profile. The compiled program and the resolved trace ports stay with
+// the golden for every campaign prepared on it.
 func (t *Target) RunGolden(tr *workload.Trace) (*Golden, error) {
 	gsp := t.Telemetry.StartSpanInt("golden-run", "cycles", int64(tr.Cycles()))
-	s, err := t.NewInstance()
+	prog, d, err := t.compiledLane(tr)
 	if err != nil {
 		gsp.EndOutcome("error")
 		return nil, err
@@ -136,6 +144,8 @@ func (t *Target) RunGolden(tr *workload.Trace) (*Golden, error) {
 		obs:      make([]obsTrace, len(a.Obs)),
 		zoneVals: make([][]uint64, len(a.Zones)),
 		Activity: make([][]int, len(a.Zones)),
+		prog:     prog,
+		ports:    d.ports,
 	}
 	for zi := range a.Zones {
 		g.zoneVals[zi] = make([]uint64, tr.Cycles())
@@ -149,22 +159,26 @@ func (t *Target) RunGolden(tr *workload.Trace) (*Golden, error) {
 			gsp.EndOutcome("interrupted")
 			return nil, ErrCampaignInterrupted
 		}
-		tr.ApplyTo(s, c)
-		s.Eval()
-		s.Step()
+		d.eval(c)
+		d.step()
 		for oi := range a.Obs {
-			v, x := s.ReadBusX(a.Obs[oi].Nets)
+			var v, x uint64
+			for bit, id := range a.Obs[oi].Nets {
+				nv, nx := d.m.NetPlanes(id)
+				v |= (nv & 1) << uint(bit)
+				x |= (nx & 1) << uint(bit)
+			}
 			g.obs[oi].val = append(g.obs[oi].val, v)
 			g.obs[oi].x = append(g.obs[oi].x, x)
 		}
 		for zi := range a.Zones {
-			g.zoneVals[zi][c] = foldNets(s, a.EffectNets(zi))
+			g.zoneVals[zi][c] = foldLane(d.m, 0, a.EffectNets(zi))
 		}
-		// Captured after Step: the snapshot's cycle is c+1, exactly the
-		// state entering iteration c+1 of a faulty run. A snapshot at
+		// Captured after the edge: the snapshot's cycle is c+1, exactly
+		// the state entering iteration c+1 of a faulty run. A snapshot at
 		// the final cycle could never be used, so it is skipped.
 		if t.SnapshotEvery > 0 && (c+1)%t.SnapshotEvery == 0 && c+1 < tr.Cycles() {
-			g.snaps = append(g.snaps, s.Snapshot())
+			g.snaps = append(g.snaps, d.snapshot(c+1))
 		}
 	}
 	for zi := range a.Zones {

@@ -146,7 +146,7 @@ type laneExp struct {
 // order. Any error (or panic, via runBatchRecovered) means no result
 // was produced for any member.
 func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
-	t, g, plan, ports := &p.t, p.g, p.plan, p.ports
+	t, g, plan := &p.t, p.g, p.plan
 	a := t.Analysis
 	tr := g.Trace
 	lanes := len(idxs)
@@ -154,7 +154,8 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 		return nil, fmt.Errorf("inject: lanes: batch of %d exceeds the 64-lane word", lanes)
 	}
 
-	m := simc.NewMachine(p.prog)
+	m := simc.NewMachine(g.prog)
+	d := &cycleDriver{m: m, tr: tr, ports: g.ports, lanes: make([]laneIO, lanes)}
 	lcs := make([]laneExp, lanes)
 	minCycle := plan[idxs[0]].Cycle
 	for k, i := range idxs {
@@ -198,44 +199,18 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 	// The batch resumes from the snapshot usable by its earliest
 	// injection; later lanes deterministically replay the golden prefix
 	// they would have skipped alone, which cannot change their results
-	// (the faulty DUT is golden until the fault applies).
+	// (the faulty DUT is golden until the fault applies). Each lane gets
+	// its own peripheral instances (behavioral models hold internal
+	// state).
 	snap := g.snapshotAtOrBefore(minCycle)
 	start := 0
 	if snap != nil {
 		start = int(snap.Cycle())
 	}
-
-	// Each lane gets its own peripheral instances (behavioral models
-	// hold internal state), sampling and committing through lane-local
-	// accessors inside the machine's clock-edge callback.
-	periphs := make([][]sim.Peripheral, lanes)
-	gets := make([]func(netlist.NetID) sim.Value, lanes)
-	sets := make([]func(netlist.NetID, sim.Value), lanes)
 	for k := range lcs {
-		s, err := t.NewInstance()
-		if err != nil {
+		if err := t.loadLane(d, k, snap); err != nil {
 			return nil, err
 		}
-		periphs[k] = s.Peripherals()
-		if snap != nil {
-			ps := snap.PeripheralStates()
-			if len(ps) != len(periphs[k]) {
-				return nil, fmt.Errorf("inject: lanes: snapshot has %d peripheral state(s), instance has %d",
-					len(ps), len(periphs[k]))
-			}
-			for j, p := range periphs[k] {
-				p.RestoreState(ps[j])
-			}
-			m.LoadLane(k, snap.FFValues(), snap.ExtValues())
-		} else {
-			// Cold start: the lane begins exactly where a fresh instance
-			// would.
-			sn := s.Snapshot()
-			m.LoadLane(k, sn.FFValues(), sn.ExtValues())
-		}
-		lane := k
-		gets[k] = func(id netlist.NetID) sim.Value { return m.NetValue(lane, id) }
-		sets[k] = func(id netlist.NetID, v sim.Value) { m.SetExt(lane, id, v) }
 	}
 
 	// Early retirement is behavior-preserving only when no watchdog can
@@ -246,8 +221,7 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 	earlyExitSafe := (cb <= 0 || cb >= tr.Cycles()) && !t.Supervision.wallArmed()
 	wallCheck := t.Supervision.wallChecker()
 
-	full := ^uint64(0) >> uint(64-lanes)
-	active := full
+	full := d.live
 	var abortedLanes, sensLanes, funcLanes, diagLanes, flipLanes, elig uint64
 	for k := range lcs {
 		if lcs[k].inj.Fault.Kind == faults.Flip {
@@ -263,7 +237,7 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 
 	retire := func(k int) {
 		lc := &lcs[k]
-		active &^= lc.bit
+		d.live &^= lc.bit
 		// Disarm the lane's fault so a retired lane cannot keep a bridge
 		// fixpoint (or anything else) busy; its planes are never read
 		// again.
@@ -277,59 +251,35 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 			m.DisarmBridge(lc.brRef, lc.bit)
 		}
 	}
-	tick := func() {
-		for k := range periphs {
-			if active&lcs[k].bit == 0 {
-				continue
-			}
-			for _, p := range periphs[k] {
-				p.Sample(gets[k])
-			}
-		}
-		for k := range periphs {
-			if active&lcs[k].bit == 0 {
-				continue
-			}
-			for _, p := range periphs[k] {
-				p.Commit(sets[k])
-			}
-		}
-	}
 
 	var stepped int64
-	for c := start; c < tr.Cycles() && active != 0; c++ {
+	for c := start; c < tr.Cycles() && d.live != 0; c++ {
 		// Cooperative watchdogs, checked before the cycle is simulated.
 		// The lanes run in lockstep, so a hang in one is a hang of the
 		// batch: the wall-clock guard covers the batch and aborts every
 		// lane still running.
 		if wallCheck(c) {
-			abortedLanes |= active
+			abortedLanes |= d.live
 			break
 		}
 		for k := range lcs {
 			lc := &lcs[k]
-			if active&lc.bit != 0 && lc.abortAt >= 0 && c >= lc.abortAt {
+			if d.live&lc.bit != 0 && lc.abortAt >= 0 && c >= lc.abortAt {
 				abortedLanes |= lc.bit
 				retire(k)
 			}
 		}
-		if active == 0 {
+		if d.live == 0 {
 			break
 		}
-		vec := tr.Vecs[c]
-		for pi := range ports {
-			for bit, id := range ports[pi].Nets {
-				m.DriveInput(id, sim.FromBool(vec[pi]>>uint(bit)&1 == 1))
-			}
-		}
-		m.Eval()
-		m.Step(tick)
+		d.eval(c)
+		d.step()
 		stepped++
 		// Faults apply after the clock edge, per lane.
 		dirty := false
 		for k := range lcs {
 			lc := &lcs[k]
-			if active&lc.bit == 0 {
+			if d.live&lc.bit == 0 {
 				continue
 			}
 			if c == lc.inj.Cycle {
@@ -352,7 +302,7 @@ func (p *Prepared) runBatch(idxs []int) ([]ExpResult, error) {
 				}
 			}
 		}
-		mon := elig & active
+		mon := elig & d.live
 		if mon == 0 {
 			continue
 		}
@@ -483,8 +433,10 @@ func removeLaneFault(m *simc.Machine, lc *laneExp) {
 	}
 }
 
-// foldLane is foldNets over one machine lane: the same FNV-1a fold the
-// golden run recorded, so the SENS compare is exact.
+// foldLane hashes a net set's values on one machine lane (with X
+// distinguished) into one word, mixing position so wide buses don't
+// alias: the zone fold the golden run records and the SENS monitor
+// compares against (foldNets is the same fold on the interpreter).
 func foldLane(m *simc.Machine, lane int, nets []netlist.NetID) uint64 {
 	var h uint64 = 1469598103934665603 // FNV offset
 	for _, id := range nets {

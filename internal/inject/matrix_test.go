@@ -229,10 +229,7 @@ func lone(t *testing.T, e *matrixEnv, k knobs) {
 		{"cycle-budget", inject.Supervision{CycleBudget: e.budget}, e.budgetRef},
 	} {
 		tgt, g, tel, _ := e.cell(k, tc.sup)
-		camp, err := tgt.Prepare(g, e.plan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		camp := tgt.Prepare(g, e.plan)
 		for i := range e.plan {
 			ck, err := camp.RunRange(k.workers, i, i+1)
 			if err != nil {

@@ -127,11 +127,7 @@ func (st *campaignState) snapshot() *Checkpoint {
 // every member of a failed batch is run again alone, and claiming only
 // stops at batches that lie wholly above the lowest failure so far.
 func (t *Target) RunParallel(g *Golden, plan []Injection, workers int) (*Report, error) {
-	p, err := t.Prepare(g, plan)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(workers)
+	return t.Prepare(g, plan).Run(workers)
 }
 
 // RunRange executes only the plan indices in [lo, hi) and returns the
@@ -146,11 +142,7 @@ func (t *Target) RunParallel(g *Golden, plan []Injection, workers int) (*Report,
 // with more than one range to run prepares once and calls
 // Prepared.RunRange.
 func (t *Target) RunRange(g *Golden, plan []Injection, workers, lo, hi int) (*Checkpoint, error) {
-	p, err := t.Prepare(g, plan)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunRange(workers, lo, hi)
+	return t.Prepare(g, plan).RunRange(workers, lo, hi)
 }
 
 // AssembleReport merges complete per-index campaign state — typically
@@ -333,7 +325,6 @@ func (p *Prepared) runSpan(workers, lo, hi int) (*campaignState, error) {
 					PlanIndex: i, Injection: plan[i], Attempts: ee.Attempts, Err: ee.Err.Error(),
 				}}
 				tel.Quarantine(i, ee.Attempts, ee.Err.Error())
-				tk.Span.EndOutcome("quarantined")
 				finish()
 			} else {
 				errs[i-lo] = err

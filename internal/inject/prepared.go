@@ -3,9 +3,6 @@ package inject
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/netlist"
-	"repro/internal/simc"
 )
 
 // Prepared is one campaign made ready to run: everything that depends
@@ -23,35 +20,16 @@ type Prepared struct {
 	t Target
 	g *Golden
 
-	// prog and ports are the compiled lane kernel and the trace's input
-	// ports resolved against it.
-	prog  *simc.Program
-	ports []netlist.Port
-
 	// pc is the whole-plan collapse table, built by the first range
 	// that wants it (Target.Collapse on, no wall watchdog).
 	collapseOnce sync.Once
 	pc           *planCollapse
 }
 
-// Prepare fingerprints the plan, compiles the netlist for the lane
-// kernel and resolves the trace ports.
-func (t *Target) Prepare(g *Golden, plan []Injection) (*Prepared, error) {
-	p := &Prepared{Codec: NewCodec(plan), t: *t, g: g}
-	prog, err := simc.Compile(t.Analysis.N)
-	if err != nil {
-		return nil, err
-	}
-	p.prog = prog
-	p.ports = make([]netlist.Port, len(g.Trace.Ports))
-	for pi, name := range g.Trace.Ports {
-		port, ok := prog.Netlist().FindInput(name)
-		if !ok {
-			return nil, fmt.Errorf("inject: lanes: trace port %q not in netlist", name)
-		}
-		p.ports[pi] = port
-	}
-	return p, nil
+// Prepare fingerprints the plan. The lane kernel runs the program the
+// golden run compiled, over the trace ports it resolved.
+func (t *Target) Prepare(g *Golden, plan []Injection) *Prepared {
+	return &Prepared{Codec: NewCodec(plan), t: *t, g: g}
 }
 
 // collapse returns the whole-plan collapse table, running the static

@@ -36,15 +36,13 @@ func TestPreparedCollapsesOnce(t *testing.T) {
 	ref := injecttest.Reference(t, target, g.Trace, plan)
 
 	var spans bytes.Buffer
+	journal := telemetry.NewJournal(&spans, nil)
 	tel := telemetry.NewCampaign(nil, nil)
-	tel.Tracer = telemetry.NewTracer(telemetry.NewJournal(&spans, nil), "test", 1)
+	tel.Tracer = telemetry.NewTracer(journal, "test", 1)
 	tgt := *target
 	tgt.Collapse = true
 	tgt.Telemetry = tel
-	camp, err := tgt.Prepare(g, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := tgt.Prepare(g, plan)
 	cycles := tel.Registry.Counter("sim_cycles")
 	pass := func() int64 {
 		before := cycles.Load()
@@ -64,6 +62,9 @@ func TestPreparedCollapsesOnce(t *testing.T) {
 	if got, want := first-second, int64(g.Trace.Cycles()); got != want {
 		t.Fatalf("first pass simulated %d cycles more than the second, want one quiescence replay of %d", got, want)
 	}
+	if err := journal.Close(); err != nil { // flushes the buffered tail
+		t.Fatal(err)
+	}
 	if n := strings.Count(spans.String(), `"name":"collapse"`); n != 1 {
 		t.Fatalf("journal holds %d collapse spans over %d ranges, want 1", n, 2*(len(plan)+6)/7)
 	}
@@ -80,10 +81,7 @@ func TestPreparedConcurrentRanges(t *testing.T) {
 	wtgt, wg := warmGolden(t, target, g, 8)
 	wtgt.Collapse = true
 	wtgt.Lanes = 64
-	camp, err := wtgt.Prepare(wg, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	camp := wtgt.Prepare(wg, plan)
 	var ranges sync.WaitGroup
 	for lo := 0; lo < len(plan); lo += 7 {
 		lo, hi := lo, min(lo+7, len(plan))

@@ -3,27 +3,48 @@ package inject
 import (
 	"io"
 
-	"repro/internal/faultsim"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
+// ToggleReport is the workload-efficiency measure of the validation flow
+// (Section 5b): which nets the workload exercised at both logic levels.
+type ToggleReport struct {
+	// Covered nets saw both 0 and 1 during the workload.
+	Covered int
+	// Eligible excludes constant and undriven nets, which can never
+	// toggle.
+	Eligible int
+	// Untoggled lists eligible nets that never saw both levels.
+	Untoggled []netlist.NetID
+}
+
+// Coverage returns covered/eligible in [0,1]; 1 for empty designs.
+func (r ToggleReport) Coverage() float64 {
+	if r.Eligible == 0 {
+		return 1
+	}
+	return float64(r.Covered) / float64(r.Eligible)
+}
+
 // ToggleCoverage measures the workload-efficiency metric of Section 5b
-// on the full DUT (including behavioral peripherals, which the
-// bit-parallel fault simulator cannot host): the fraction of nets the
-// workload drove to both logic levels.
-func (t *Target) ToggleCoverage(tr *workload.Trace) (faultsim.ToggleReport, error) {
-	s, err := t.NewInstance()
+// on the full DUT, behavioral peripherals included: the fraction of
+// nets the workload drove to both logic levels, settled after start-up
+// and after every clock edge of a fault-free replay on one kernel lane.
+// An unknown trace port is an error: skipping it would measure a
+// partially driven design.
+func (t *Target) ToggleCoverage(tr *workload.Trace) (ToggleReport, error) {
+	_, d, err := t.compiledLane(tr)
 	if err != nil {
-		return faultsim.ToggleReport{}, err
+		return ToggleReport{}, err
 	}
 	n := t.Analysis.N
 	seen0 := make([]bool, len(n.Nets))
 	seen1 := make([]bool, len(n.Nets))
 	record := func() {
 		for id := range n.Nets {
-			switch s.Net(netlist.NetID(id)) {
+			switch d.m.NetValue(0, netlist.NetID(id)) {
 			case sim.V0:
 				seen0[id] = true
 			case sim.V1:
@@ -31,14 +52,14 @@ func (t *Target) ToggleCoverage(tr *workload.Trace) (faultsim.ToggleReport, erro
 			}
 		}
 	}
+	d.m.Eval()
 	record()
 	for c := 0; c < tr.Cycles(); c++ {
-		tr.ApplyTo(s, c)
-		s.Eval()
-		s.Step()
+		d.eval(c)
+		d.step()
 		record()
 	}
-	rep := faultsim.ToggleReport{}
+	rep := ToggleReport{}
 	for id := range n.Nets {
 		nid := netlist.NetID(id)
 		if _, isConst := n.IsConst(nid); isConst {
@@ -89,7 +110,7 @@ func (t *Target) RecordVCD(g *Golden, inj *Injection, w io.Writer) error {
 // conditioning cannot change in a fault-free run by construction (their
 // coverage is credited by fault injection instead, Section 5c). It
 // returns the adjusted coverage and the number of excluded nets.
-func (t *Target) AdjustedToggle(rep faultsim.ToggleReport) (float64, int) {
+func (t *Target) AdjustedToggle(rep ToggleReport) (float64, int) {
 	reach := t.Analysis.FunctionalReachNets()
 	excluded := 0
 	for _, id := range rep.Untoggled {

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -569,20 +570,7 @@ func (sn *Snapshot) Cycle() int64 { return sn.cycle }
 // peripheral state (via Peripheral.SnapshotState) and the cycle
 // counter.
 func (s *Simulator) Snapshot() *Snapshot {
-	sn := &Snapshot{
-		state: make([]Value, len(s.state)),
-		ext:   make([]Value, len(s.ext)),
-		cycle: s.cycle,
-	}
-	copy(sn.state, s.state)
-	copy(sn.ext, s.ext)
-	if len(s.peripherals) > 0 {
-		sn.periph = make([]any, len(s.peripherals))
-		for i, p := range s.peripherals {
-			sn.periph[i] = p.SnapshotState()
-		}
-	}
-	return sn
+	return NewSnapshot(s.cycle, slices.Clone(s.state), slices.Clone(s.ext), s.peripherals)
 }
 
 // Restore reinstates a snapshot — including peripheral state, matched
@@ -601,6 +589,22 @@ func (s *Simulator) Restore(sn *Snapshot) {
 	}
 	s.cycle = sn.cycle
 	s.Eval()
+}
+
+// NewSnapshot builds the snapshot of a simulation instant held outside
+// a Simulator (a lane of the compiled kernel): flip-flop state and
+// external/input net values in FFValues/ExtValues order, taken over
+// without copying, plus each peripheral's SnapshotState. It is what
+// Simulator.Snapshot would have captured at that instant.
+func NewSnapshot(cycle int64, ffs, ext []Value, peripherals []Peripheral) *Snapshot {
+	sn := &Snapshot{state: ffs, ext: ext, cycle: cycle}
+	if len(peripherals) > 0 {
+		sn.periph = make([]any, len(peripherals))
+		for i, p := range peripherals {
+			sn.periph[i] = p.SnapshotState()
+		}
+	}
+	return sn
 }
 
 // FFValues returns the snapshot's flip-flop state, indexed like

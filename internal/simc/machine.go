@@ -34,10 +34,10 @@ type Machine struct {
 	ops    []op
 	sealed bool
 
-	valP, xP     []uint64 // per slot
-	extV, extX   []uint64 // per net: input/external values, as committed
+	valP, xP       []uint64 // per slot
+	extV, extX     []uint64 // per net: input/external values, as committed
 	stateV, stateX []uint64 // per FF
-	nextV, nextX []uint64 // per FF scratch for Step
+	nextV, nextX   []uint64 // per FF scratch for Step
 
 	// Registered patch points.
 	netPatches []netPatch
@@ -200,6 +200,32 @@ func (m *Machine) LoadLane(lane int, ffs, ext []sim.Value) {
 	}
 }
 
+// StoreLane reads one lane's sequential state back out — the inverse
+// of LoadLane: fresh FF and external/input net slices in the order
+// sim.NewSnapshot takes them.
+func (m *Machine) StoreLane(lane int) (ffs, ext []sim.Value) {
+	bit := uint64(1) << uint(lane)
+	ffs = make([]sim.Value, len(m.stateV))
+	for i := range ffs {
+		ffs[i] = laneBit(m.stateV, m.stateX, i, bit)
+	}
+	ext = make([]sim.Value, len(m.extV))
+	for i := range ext {
+		ext[i] = laneBit(m.extV, m.extX, i, bit)
+	}
+	return ffs, ext
+}
+
+func laneBit(valP, xP []uint64, i int, bit uint64) sim.Value {
+	switch {
+	case xP[i]&bit != 0:
+		return sim.VX
+	case valP[i]&bit != 0:
+		return sim.V1
+	}
+	return sim.V0
+}
+
 func setLaneBit(valP, xP []uint64, i int, bit uint64, v sim.Value) {
 	valP[i] &^= bit
 	xP[i] &^= bit
@@ -231,14 +257,7 @@ func (m *Machine) SetExt(lane int, id netlist.NetID, v sim.Value) {
 
 // NetValue reads one net in one lane as a three-valued level.
 func (m *Machine) NetValue(lane int, id netlist.NetID) sim.Value {
-	bit := uint64(1) << uint(lane)
-	if m.xP[id]&bit != 0 {
-		return sim.VX
-	}
-	if m.valP[id]&bit != 0 {
-		return sim.V1
-	}
-	return sim.V0
+	return laneBit(m.valP, m.xP, int(id), uint64(1)<<uint(lane))
 }
 
 // NetPlanes returns a net's value and X planes (all 64 lanes at once;
@@ -249,14 +268,7 @@ func (m *Machine) NetPlanes(id netlist.NetID) (val, x uint64) {
 
 // FFValue reads one flip-flop's state in one lane.
 func (m *Machine) FFValue(lane int, id netlist.FFID) sim.Value {
-	bit := uint64(1) << uint(lane)
-	if m.stateX[id]&bit != 0 {
-		return sim.VX
-	}
-	if m.stateV[id]&bit != 0 {
-		return sim.V1
-	}
-	return sim.V0
+	return laneBit(m.stateV, m.stateX, int(id), uint64(1)<<uint(lane))
 }
 
 // seal builds the patched op stream and allocates the value planes.

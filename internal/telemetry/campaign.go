@@ -165,18 +165,16 @@ func (c *Campaign) Phase(name string) {
 	}
 }
 
-// ExpTicket carries one running experiment's start context from
-// ExpStart to ExpFinish: the start time (zero without a clock) and the
-// experiment span (zero without a tracer). A two-word value, cheap to
-// hold per lane.
+// ExpTicket carries one running experiment's start time (zero without
+// a clock) from ExpStart to ExpFinish. The journal's exp_start and
+// exp_finish events are the experiment's whole trace; inside a lane
+// batch its span would be the batch span.
 type ExpTicket struct {
 	Start time.Time
-	Span  Span
 }
 
 // ExpStart marks one experiment entering a worker and returns the
-// ticket ExpFinish closes. The experiment span parents under the
-// ambient phase span (or trace root).
+// ticket ExpFinish closes.
 func (c *Campaign) ExpStart(planIndex int) ExpTicket {
 	if c == nil {
 		return ExpTicket{}
@@ -184,16 +182,12 @@ func (c *Campaign) ExpStart(planIndex int) ExpTicket {
 	c.expStarted.Inc()
 	c.inFlight.Add(1)
 	c.Journal.Emit(EvExpStart, func(e *Enc) { e.Int("i", int64(planIndex)) })
-	tk := ExpTicket{Start: c.now()}
-	if c.Tracer != nil {
-		tk.Span = c.Tracer.start("exp", c.ambient(), 0, "i", int64(planIndex), nil)
-	}
-	return tk
+	return ExpTicket{Start: c.now()}
 }
 
 // ExpFinish marks one experiment verdict: its outcome label, the SENS
 // monitor, deviation fan-out and first deviation cycle. tk is the
-// ExpStart return value; its span is closed with the outcome.
+// ExpStart return value.
 func (c *Campaign) ExpFinish(planIndex int, outcome string, sens bool, deviated, firstDev int, tk ExpTicket) {
 	if c == nil {
 		return
@@ -213,7 +207,6 @@ func (c *Campaign) ExpFinish(planIndex int, outcome string, sens bool, deviated,
 		e.Int("deviated", int64(deviated))
 		e.Int("first_dev", int64(firstDev))
 	})
-	tk.Span.EndOutcome(outcome)
 }
 
 // Retry records one failed attempt that will be retried.

@@ -213,7 +213,7 @@ func (s Span) EndAttrs(attrs func(*Enc)) { s.end("", attrs) }
 
 // SetTraceRoot installs sp as the ambient root: spans started through
 // the hub with no open phase parent under it. The dist worker re-roots
-// around each lease so experiment spans nest under the worker-lease
+// around each lease so lane-batch spans nest under the worker-lease
 // span; pass the previous root back to restore it.
 func (c *Campaign) SetTraceRoot(sp Span) {
 	if c == nil {

@@ -100,8 +100,9 @@ func TestTraceHexAdopt(t *testing.T) {
 }
 
 // TestCampaignAmbientSpans exercises the hub integration: phase spans
-// chain under the root, experiment spans parent under the open phase,
-// Summary closes the last phase, and SetTraceRoot re-roots.
+// chain under the root, batch spans parent under the open phase (an
+// experiment is journal events only, no span), Summary closes the last
+// phase, and SetTraceRoot re-roots.
 func TestCampaignAmbientSpans(t *testing.T) {
 	var sb strings.Builder
 	j := NewJournal(&sb, nil)
@@ -110,11 +111,11 @@ func TestCampaignAmbientSpans(t *testing.T) {
 
 	root := c.Tracer.Start("campaign", Span{})
 	c.SetTraceRoot(root)
-	c.Phase("build")   // span 2, parent 1
-	c.Phase("golden")  // ends 2, span 3, parent 1
-	tk := c.ExpStart(5) // span 4, parent 3
+	c.Phase("build")    // span 2, parent 1
+	c.Phase("golden")   // ends 2, span 3, parent 1
+	tk := c.ExpStart(5) // no span
 	c.ExpFinish(5, "silent", false, 0, -1, tk)
-	bs := c.BatchStart(48) // span 5, parent 3
+	bs := c.BatchStart(48) // span 4, parent 3
 	c.BatchDone(bs, 48)
 	c.Summary() // ends 3
 	root.End()
@@ -141,8 +142,7 @@ func TestCampaignAmbientSpans(t *testing.T) {
 	wantStarts := map[uint64]rec{
 		2: {Name: "build", Parent: 1},
 		3: {Name: "golden", Parent: 1},
-		4: {Name: "exp", Parent: 3, I: 5},
-		5: {Name: "batch", Parent: 3, Lanes: 48},
+		4: {Name: "batch", Parent: 3, Lanes: 48},
 	}
 	ends := map[uint64]int{}
 	for _, r := range recs {
@@ -157,7 +157,10 @@ func TestCampaignAmbientSpans(t *testing.T) {
 			ends[r.Span]++
 		}
 	}
-	for sp := uint64(1); sp <= 5; sp++ {
+	if len(ends) != 4 {
+		t.Fatalf("%d spans ended, want 4 (ends=%v)", len(ends), ends)
+	}
+	for sp := uint64(1); sp <= 4; sp++ {
 		if ends[sp] != 1 {
 			t.Fatalf("span %d ended %d times, want once (ends=%v)", sp, ends[sp], ends)
 		}

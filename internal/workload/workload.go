@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/xrand"
 )
@@ -73,6 +74,22 @@ func (t *Trace) ApplyTo(s *sim.Simulator, cycle int) {
 	for i, port := range t.Ports {
 		s.SetInput(port, vec[i])
 	}
+}
+
+// InputPorts resolves the trace's ports against the netlist's primary
+// inputs once, in trace order. A port the netlist lacks is an error —
+// skipping it would simulate a partially driven design — worded for
+// the caller to prefix with its package.
+func (t *Trace) InputPorts(n *netlist.Netlist) ([]netlist.Port, error) {
+	ports := make([]netlist.Port, len(t.Ports))
+	for i, name := range t.Ports {
+		p, ok := n.FindInput(name)
+		if !ok {
+			return nil, fmt.Errorf("trace port %q not in netlist", name)
+		}
+		ports[i] = p
+	}
+	return ports, nil
 }
 
 // Concat appends another trace over the same port set.

@@ -57,7 +57,7 @@ func TestCheckAcceptsRealJournal(t *testing.T) {
 }
 
 // TestCheckAcceptsRealSpanJournal: a span journal emitted by the real
-// tracer — root, phases, remote-parented lease span, exp/batch spans,
+// tracer — root, phases, remote-parented lease span, batch span,
 // interleaved with lifecycle events — must validate, including the
 // structural open/close and parent-before-child checks.
 func TestCheckAcceptsRealSpanJournal(t *testing.T) {
