@@ -68,9 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	backoffCap := fs.Duration("backoff-cap", 10*time.Second, "re-issue backoff ceiling")
 	tick := fs.Duration("tick", 200*time.Millisecond, "scheduler cadence (bounds dead-worker detection latency)")
 	local := fs.Bool("local", true, "run ranges in-process while no live worker exists (graceful degradation; -workers, -warmstart and -collapse apply to it)")
-	adaptive := fs.Bool("adaptive", false, "latency-driven lease sizing: split pending ranges so one lease carries about -lease-target of work (results are identical)")
-	leaseTarget := fs.Duration("lease-target", 0, "target wall time per lease for -adaptive (0 = lease-ttl/4)")
-	minRange := fs.Int("min-range", 0, "smallest range -adaptive may split down to (0 = 4)")
 	if code, ok := cmd.Parse(args); !ok {
 		return code
 	}
@@ -81,6 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmd.UsageErr("-lease-ttl must be > 0, got %v", *leaseTTL)
 	case *maxAttempts < 1:
 		return cmd.UsageErr("-max-attempts must be >= 1, got %d", *maxAttempts)
+	case *backoffBase <= 0:
+		return cmd.UsageErr("-backoff must be > 0, got %v", *backoffBase)
+	case *backoffCap <= 0:
+		return cmd.UsageErr("-backoff-cap must be > 0, got %v", *backoffCap)
 	case *tick <= 0:
 		return cmd.UsageErr("-tick must be > 0, got %v", *tick)
 	case *spawn < 0:
@@ -89,10 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmd.UsageErr("-spawn requires -worker-bin")
 	case *listen == "" && *spawn == 0 && !*local:
 		return cmd.UsageErr("no execution path: need -listen, -spawn or -local")
-	case *leaseTarget < 0:
-		return cmd.UsageErr("-lease-target must be >= 0, got %v", *leaseTarget)
-	case *minRange < 0:
-		return cmd.UsageErr("-min-range must be >= 0, got %d", *minRange)
 	}
 
 	// Workers derive the same spec-hashed trace id locally and every
@@ -125,9 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		BackoffCap:  *backoffCap,
 		Clock:       time.Now,
 		Telemetry:   tel,
-		Adaptive:    *adaptive,
-		TargetLease: *leaseTarget,
-		MinRange:    *minRange,
 		Logf:        lg.Printf,
 	}
 	if *local {

@@ -26,6 +26,10 @@ func TestExitCodes(t *testing.T) {
 		{"bad range size", []string{"-range", "0"}, 2},
 		{"bad lease ttl", []string{"-lease-ttl", "0s"}, 2},
 		{"bad max attempts", []string{"-max-attempts", "0"}, 2},
+		{"zero backoff", []string{"-backoff", "0s"}, 2},
+		{"negative backoff cap", []string{"-backoff-cap", "-1s"}, 2},
+		{"zero tick", []string{"-tick", "0s"}, 2},
+		{"deleted -adaptive flag", []string{"-adaptive"}, 2},
 		{"spawn without worker-bin", []string{"-spawn", "2"}, 2},
 		{"no execution path", []string{"-local=false"}, 2},
 		{"tiny local-only campaign", []string{"-design", "v1", "-addr", "6", "-words", "2", "-transient", "1", "-permanent", "1", "-wide", "2", "-require-coverage=false"}, 0},

@@ -483,7 +483,7 @@ func procUtilization(tr *trace) []procRow {
 // leaseAttribution reads the coordinator's lease spans: outcome
 // counts, every re-issued range (attempt > 1 — each one is a recovery
 // from an expiry, failure or dead worker), and the slowest leases by
-// per-row time (the stragglers adaptive sizing reacts to).
+// per-row time (the stragglers).
 func leaseAttribution(tr *trace) leaseReport {
 	var lr leaseReport
 	outcomes := map[string]int{}

@@ -34,20 +34,6 @@ type Config struct {
 	// the package never samples the wall clock itself, so lease
 	// scheduling is fully testable with a fake clock.
 	Clock func() time.Time
-	// Adaptive enables latency-driven lease sizing (off by default):
-	// the coordinator tracks an EWMA and a fast-up/slow-down tail of
-	// per-row lease latency over completed leases and splits oversized
-	// pending ranges at issue time so one lease targets ~TargetLease of
-	// work. Scheduling only — ranges stay disjoint, plan-ordered and
-	// merge-identical, so the report bytes cannot change (asserted by
-	// the neutrality matrix).
-	Adaptive bool
-	// TargetLease is the wall-clock amount of work adaptive sizing aims
-	// to put under one lease (<= 0: LeaseTTL/4).
-	TargetLease time.Duration
-	// MinRange floors adaptive range sizes so pathological tails cannot
-	// shatter the plan into single-row leases (<= 0: 4).
-	MinRange int
 	// Telemetry receives lease/worker counters (nil = off).
 	Telemetry *telemetry.Campaign
 	// LocalRunner, when set, lets the coordinator execute a range in
@@ -72,41 +58,33 @@ const (
 )
 
 // planRange is the coordinator's bookkeeping for one disjoint plan
-// slice [lo, hi).
+// slice [lo, hi), fixed by New.
 type planRange struct {
 	lo, hi    int
 	status    rangeStatus
 	attempts  int       // lease attempts consumed (failed or expired)
 	notBefore time.Time // earliest re-issue time (backoff)
 	lastErr   string
-	lease     int64     // active lease id while leased
-	worker    int64     // worker holding the lease (0 = local runner)
-	deadline  time.Time // lease expiry, refreshed by heartbeats
-	result    []byte    // canonical checkpoint bytes once done
+	lease     int64              // live lease id while leased, the winning one once done
+	worker    int64              // worker holding the lease (0 = local runner)
+	deadline  time.Time          // lease expiry, refreshed by heartbeats
+	result    []byte             // canonical checkpoint bytes once done
+	ck        *inject.Checkpoint // result as validation decoded it; Result merges it
 
 	issuedAt time.Time      // when the live lease was granted
 	span     telemetry.Span // the live lease's span (cleared on end)
-}
-
-// leaseRef records which range a lease was issued on and the bounds it
-// covered at issue time. Live leases always match their range's current
-// bounds (only pending ranges are ever split); a mismatch therefore
-// identifies a message from a revoked lease whose range has since been
-// narrowed.
-type leaseRef struct {
-	r      *planRange
-	lo, hi int
 }
 
 // workerConn is one connected worker. Messages to it go through a
 // buffered outbox drained by a writer goroutine, so the coordinator
 // never blocks on a slow peer while holding its lock.
 type workerConn struct {
-	id   int64
-	name string
-	conn *Conn
-	out  chan *Msg
-	gone bool
+	id    int64
+	name  string
+	label string // `worker "name"`, for the scheduling log
+	conn  *Conn
+	out   chan *Msg
+	gone  bool
 }
 
 // Coordinator owns the lease table for one distributed campaign. Use
@@ -115,7 +93,7 @@ type workerConn struct {
 type Coordinator struct {
 	cfg Config
 	// codec holds the plan fingerprint, computed once by New: the hello
-	// check, every result validation and Result compare against it.
+	// check and every result validation compare against it.
 	codec    inject.Codec
 	planHash string
 
@@ -124,14 +102,8 @@ type Coordinator struct {
 	// leaseRange maps every lease ever issued to its range, including
 	// revoked ones — a late result from a revoked lease must still
 	// resolve so it can be byte-verified against the winning attempt
-	// instead of silently dropped. It holds the *planRange itself, not
-	// an index: adaptive splitting inserts ranges mid-slice, so indices
-	// are not stable across a lease's lifetime. Each entry also
-	// snapshots the bounds the lease was issued over: a revoked lease's
-	// range can be adaptively split (narrowed) before its late result
-	// arrives, and a checkpoint covering the original wider bounds must
-	// not be byte-compared against a result for the narrower ones.
-	leaseRange map[int64]leaseRef
+	// instead of silently dropped.
+	leaseRange map[int64]*planRange
 	workers    []*workerConn
 	nextWorker int64
 	nextLease  int64
@@ -139,15 +111,6 @@ type Coordinator struct {
 	failed     error
 	finished   bool
 	localBusy  bool
-
-	// Adaptive lease sizing state (see adaptive.go): per-row latency
-	// EWMA, the fast-up/slow-decay tail estimate, and the number of
-	// live-lease completions observed. Pure functions of the lease
-	// completion order, so a fake clock makes sizing fully
-	// deterministic.
-	ewmaRow float64
-	tailRow float64
-	nObs    int
 
 	done chan struct{}
 }
@@ -174,21 +137,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.BackoffCap <= 0 {
 		cfg.BackoffCap = 10 * time.Second
 	}
-	if cfg.TargetLease <= 0 {
-		cfg.TargetLease = cfg.LeaseTTL / 4
-	}
-	if cfg.MinRange <= 0 {
-		cfg.MinRange = 4
-	}
-	if cfg.MinRange > cfg.RangeSize {
-		cfg.MinRange = cfg.RangeSize
-	}
 	codec := inject.NewCodec(cfg.Plan)
 	c := &Coordinator{
 		cfg:        cfg,
 		codec:      codec,
 		planHash:   fmt.Sprintf("%016x", codec.PlanHash()),
-		leaseRange: map[int64]leaseRef{},
+		leaseRange: map[int64]*planRange{},
 		done:       make(chan struct{}),
 	}
 	for lo := 0; lo < len(cfg.Plan); lo += cfg.RangeSize {
@@ -249,7 +203,7 @@ func (c *Coordinator) Serve(rw io.ReadWriteCloser) error {
 		return fmt.Errorf("dist: coordinator: worker %q plan mismatch", hello.Worker)
 	}
 
-	w := &workerConn{name: hello.Worker, conn: conn, out: make(chan *Msg, 16)}
+	w := &workerConn{name: hello.Worker, label: fmt.Sprintf("worker %q", hello.Worker), conn: conn, out: make(chan *Msg, 16)}
 
 	c.mu.Lock()
 	if c.finished {
@@ -328,21 +282,10 @@ func (c *Coordinator) assignLocked(w *workerConn, now time.Time) {
 	if c.finished || w.gone {
 		return
 	}
-	ri := c.runnableLocked(now)
-	if ri < 0 {
+	r := c.grantLocked(w.id, w.label, now)
+	if r == nil {
 		return
 	}
-	r := c.splitForIssueLocked(ri)
-	c.nextLease++
-	r.status = rangeLeased
-	r.lease = c.nextLease
-	r.worker = w.id
-	r.deadline = now.Add(c.cfg.LeaseTTL)
-	r.issuedAt = now
-	c.leaseRange[r.lease] = leaseRef{r: r, lo: r.lo, hi: r.hi}
-	c.cfg.Telemetry.LeaseIssued()
-	c.startLeaseSpanLocked(r, w.id)
-	c.logf("lease %d: range [%d,%d) -> worker %q (attempt %d)", r.lease, r.lo, r.hi, w.name, r.attempts+1)
 	m := &Msg{
 		T:     MsgLease,
 		Lease: r.lease,
@@ -353,6 +296,33 @@ func (c *Coordinator) assignLocked(w *workerConn, now time.Time) {
 	}
 	m.Trace, _ = c.cfg.Telemetry.TraceContext()
 	c.sendLocked(w, m)
+}
+
+// grantLocked leases the lowest-index pending range whose backoff has
+// elapsed to worker — 0 is the local runner, whose lease Tick never
+// expires — and returns it, or nil when nothing is runnable.
+func (c *Coordinator) grantLocked(worker int64, holder string, now time.Time) *planRange {
+	var r *planRange
+	for _, p := range c.ranges {
+		if p.status == rangePending && !now.Before(p.notBefore) {
+			r = p
+			break
+		}
+	}
+	if r == nil {
+		return nil
+	}
+	c.nextLease++
+	r.status = rangeLeased
+	r.lease = c.nextLease
+	r.worker = worker
+	r.deadline = now.Add(c.cfg.LeaseTTL)
+	r.issuedAt = now
+	c.leaseRange[r.lease] = r
+	c.cfg.Telemetry.LeaseIssued()
+	c.startLeaseSpanLocked(r, worker)
+	c.logf("lease %d: range [%d,%d) -> %s (attempt %d)", r.lease, r.lo, r.hi, holder, r.attempts+1)
+	return r
 }
 
 // startLeaseSpanLocked opens the lease's span (no-op without a
@@ -381,17 +351,6 @@ func (c *Coordinator) endLeaseSpanLocked(r *planRange, outcome string) {
 	}
 }
 
-// runnableLocked returns the lowest-index pending range whose backoff
-// has elapsed, or -1.
-func (c *Coordinator) runnableLocked(now time.Time) int {
-	for i, r := range c.ranges {
-		if r.status == rangePending && !now.Before(r.notBefore) {
-			return i
-		}
-	}
-	return -1
-}
-
 // idleLocked reports whether w holds no lease.
 func (c *Coordinator) idleLocked(w *workerConn) bool {
 	for _, r := range c.ranges {
@@ -412,144 +371,139 @@ func (c *Coordinator) liveWorkersLocked() int {
 	return n
 }
 
+// heldBy reports whether lease is r's live lease.
+func (r *planRange) heldBy(lease int64) bool {
+	return r.status == rangeLeased && r.lease == lease
+}
+
 // heartbeat extends the deadline of a still-current lease. Heartbeats
 // for revoked or completed leases are stale echoes and ignored.
 func (c *Coordinator) heartbeat(lease int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ref, ok := c.leaseRange[lease]
-	if !ok {
-		return
-	}
-	if r := ref.r; r.status == rangeLeased && r.lease == lease {
+	if r, ok := c.leaseRange[lease]; ok && r.heldBy(lease) {
 		r.deadline = c.cfg.Clock().Add(c.cfg.LeaseTTL)
 	}
 }
 
-// result ingests one completed range from a worker: decode, validate
-// exact coverage of the leased bounds, then either complete the range
-// or — if another attempt already completed it — verify the duplicate
-// is byte-identical. A divergent duplicate is a determinism violation
-// and fails the whole campaign: silently picking one of two different
-// answers would forfeit the bit-identical merge contract.
+// result ingests one completed range from a worker and offers the
+// worker its next range.
 func (c *Coordinator) result(w *workerConn, m *Msg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ref, ok := c.leaseRange[m.Lease]
+	r, ok := c.leaseRange[m.Lease]
 	if !ok {
 		return // lease id we never issued: bogus peer, drop
 	}
-	r := ref.r
-	if ref.lo != r.lo || ref.hi != r.hi {
-		// The lease was issued over bounds an adaptive split has since
-		// narrowed, so this is a late echo from a revoked attempt whose
-		// checkpoint covers a different row span than any current range
-		// — it cannot be byte-verified against the winning attempt, and
-		// it is not a determinism violation. Drop it; every row of the
-		// old bounds completes under the post-split leases.
-		c.logf("stale result for revoked lease %d over pre-split bounds [%d,%d) ignored (range now [%d,%d))",
-			m.Lease, ref.lo, ref.hi, r.lo, r.hi)
-		c.assignLocked(w, c.cfg.Clock())
-		return
-	}
-	switch r.status {
-	case rangeDone:
-		// At-least-once execution: a revoked-then-re-issued lease can
-		// complete twice. Duplicates must agree byte-for-byte.
-		if !bytes.Equal(m.Ckpt, r.result) {
-			c.failLocked(fmt.Errorf(
-				"dist: determinism violation: range [%d,%d) produced two different results (leases %d and %d)",
-				r.lo, r.hi, r.lease, m.Lease))
-			return
-		}
-		c.logf("duplicate result for range [%d,%d) verified identical", r.lo, r.hi)
-	case rangeQuarantined:
-		// Quarantine is final: once rows were written off as
-		// dangerous-undetected, a racing late success may not rewrite
-		// the accounting.
-		c.logf("late result for quarantined range [%d,%d) ignored", r.lo, r.hi)
-	default: // leased (current or superseded lease) or pending after a revoke
-		if err := c.validateResultLocked(r, m.Ckpt); err != nil {
-			c.logf("worker %q returned bad result for range [%d,%d): %v", w.name, r.lo, r.hi, err)
-			if r.status == rangeLeased && r.lease == m.Lease {
-				c.cfg.Telemetry.WorkerRetry()
-				c.endLeaseSpanLocked(r, "failed")
-				c.requeueLocked(r, err.Error())
-			}
-			c.assignLocked(w, c.cfg.Clock())
-			return
-		}
-		// Latency is only meaningful when the completing lease is the
-		// live one — a late result from a revoked lease measures a
-		// worker that already blew its TTL, not current fleet speed.
-		// Span attribution follows the same split: an open span here
-		// belongs to the live lease, and when a revoked lease's late
-		// result wins the race, the live worker is still running — its
-		// span ends "superseded", not "done".
-		if r.status == rangeLeased && r.lease == m.Lease {
-			c.observeLeaseLocked(r.hi-r.lo, c.cfg.Clock().Sub(r.issuedAt))
-			c.endLeaseSpanLocked(r, "done")
-		} else {
-			c.endLeaseSpanLocked(r, "superseded")
-		}
-		r.status = rangeDone
-		r.result = m.Ckpt
-		r.lastErr = ""
-		c.remaining--
-		c.logf("range [%d,%d) done (%d remaining)", r.lo, r.hi, c.remaining)
-	}
-	if c.remaining == 0 {
-		c.finishLocked()
-		return
-	}
+	c.completeLocked(r, m.Lease, m.Ckpt, w.label)
 	c.assignLocked(w, c.cfg.Clock())
 }
 
-// validateResultLocked checks that ckpt decodes against the plan and
-// covers exactly [r.lo, r.hi): every plan index present once, none
+// completeLocked ingests the canonical checkpoint ckpt that lease
+// produced for range r, from a worker or the local runner. Execution
+// is at-least-once, so r may already be settled. A duplicate of a done
+// range must match the winning attempt byte-for-byte; a divergent one
+// is a determinism violation and fails the whole campaign, since
+// silently picking one of two different answers would forfeit the
+// bit-identical merge contract. Quarantine is final: once rows were
+// written off as dangerous-undetected, a racing late success may not
+// rewrite the accounting. Otherwise ckpt is validated: a bad one fails
+// the lease if it is still live, a good one completes the range.
+func (c *Coordinator) completeLocked(r *planRange, lease int64, ckpt []byte, from string) {
+	switch r.status {
+	case rangeDone:
+		if !bytes.Equal(ckpt, r.result) {
+			c.failLocked(fmt.Errorf(
+				"dist: determinism violation: range [%d,%d) produced two different results (leases %d and %d)",
+				r.lo, r.hi, r.lease, lease))
+			return
+		}
+		c.logf("duplicate result for range [%d,%d) verified identical", r.lo, r.hi)
+		return
+	case rangeQuarantined:
+		c.logf("late result for quarantined range [%d,%d) ignored", r.lo, r.hi)
+		return
+	}
+	ck, err := c.validateResultLocked(r, ckpt)
+	if err != nil {
+		c.logf("%s returned bad result for range [%d,%d): %v", from, r.lo, r.hi, err)
+		c.failLeaseLocked(r, lease, err.Error())
+		return
+	}
+	// Latency is only meaningful when the completing lease is the live
+	// one — a late result from a revoked lease measures a worker that
+	// already blew its TTL, not current fleet speed. Span attribution
+	// follows the same split: when a revoked lease's late result wins
+	// the race, the live holder is still running — its span ends
+	// "superseded", not "done".
+	if r.heldBy(lease) {
+		c.cfg.Telemetry.RangeDone(r.hi-r.lo, c.cfg.Clock().Sub(r.issuedAt))
+		c.endLeaseSpanLocked(r, "done")
+	} else {
+		c.endLeaseSpanLocked(r, "superseded")
+	}
+	r.status = rangeDone
+	r.lease = lease // the winner, named when a duplicate diverges
+	r.result, r.ck = ckpt, ck
+	r.lastErr = ""
+	c.remaining--
+	c.logf("range [%d,%d) done by %s (%d remaining)", r.lo, r.hi, from, c.remaining)
+	if c.remaining == 0 {
+		c.finishLocked()
+	}
+}
+
+// validateResultLocked decodes ckpt against the plan and checks that
+// it covers exactly [r.lo, r.hi): every plan index present once, none
 // outside the bounds. Decode already enforces CRCs, plan identity,
-// ordering and uniqueness.
-func (c *Coordinator) validateResultLocked(r *planRange, ckpt []byte) error {
+// ordering and uniqueness. It returns the decoded checkpoint, which
+// Result merges.
+func (c *Coordinator) validateResultLocked(r *planRange, ckpt []byte) (*inject.Checkpoint, error) {
 	ck, err := c.codec.Decode(ckpt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	covered := 0
 	for _, res := range ck.Results {
 		if res.PlanIndex < r.lo || res.PlanIndex >= r.hi {
-			return fmt.Errorf("dist: result index %d outside leased range [%d,%d)", res.PlanIndex, r.lo, r.hi)
+			return nil, fmt.Errorf("dist: result index %d outside leased range [%d,%d)", res.PlanIndex, r.lo, r.hi)
 		}
 		covered++
 	}
 	for _, q := range ck.Quarantined {
 		if q.PlanIndex < r.lo || q.PlanIndex >= r.hi {
-			return fmt.Errorf("dist: quarantine index %d outside leased range [%d,%d)", q.PlanIndex, r.lo, r.hi)
+			return nil, fmt.Errorf("dist: quarantine index %d outside leased range [%d,%d)", q.PlanIndex, r.lo, r.hi)
 		}
 		covered++
 	}
 	if covered != r.hi-r.lo {
-		return fmt.Errorf("dist: result covers %d of %d rows in range [%d,%d)", covered, r.hi-r.lo, r.lo, r.hi)
+		return nil, fmt.Errorf("dist: result covers %d of %d rows in range [%d,%d)", covered, r.hi-r.lo, r.lo, r.hi)
 	}
-	return nil
+	return ck, nil
 }
 
 // fail ingests a worker's explicit failure report for its lease.
 func (c *Coordinator) fail(w *workerConn, m *Msg) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ref, ok := c.leaseRange[m.Lease]
-	if !ok {
-		return
-	}
-	r := ref.r
-	if r.status != rangeLeased || r.lease != m.Lease {
+	r, ok := c.leaseRange[m.Lease]
+	if !ok || !r.heldBy(m.Lease) {
 		return // stale failure report for a lease already revoked
 	}
 	c.logf("worker %q failed lease %d on range [%d,%d): %s", w.name, m.Lease, r.lo, r.hi, m.Err)
-	c.cfg.Telemetry.WorkerRetry()
-	c.endLeaseSpanLocked(r, "failed")
-	c.requeueLocked(r, m.Err)
+	c.failLeaseLocked(r, m.Lease, m.Err)
 	c.assignLocked(w, c.cfg.Clock())
+}
+
+// failLeaseLocked consumes an attempt on r if lease is still its live
+// lease: a worker's failure report or disconnect, a bad checkpoint, a
+// local runner error. A revoked lease's failure changes nothing.
+func (c *Coordinator) failLeaseLocked(r *planRange, lease int64, errText string) {
+	if !r.heldBy(lease) {
+		return
+	}
+	c.cfg.Telemetry.WorkerRetry()
+	c.requeueLocked(r, errText)
 }
 
 // disconnect reclaims whatever w was holding. Losing a worker is the
@@ -570,15 +524,13 @@ func (c *Coordinator) disconnect(w *workerConn) {
 	c.logf("worker %q left", w.name)
 	for _, r := range c.ranges {
 		if r.status == rangeLeased && r.worker == w.id {
-			c.cfg.Telemetry.WorkerRetry()
-			c.endLeaseSpanLocked(r, "failed")
-			c.requeueLocked(r, "worker disconnected")
+			c.failLeaseLocked(r, r.lease, "worker disconnected")
 		}
 	}
 	c.reassignIdleLocked(c.cfg.Clock())
 }
 
-// requeueLocked returns range ri to the pending queue after a failed
+// requeueLocked returns range r to the pending queue after a failed
 // attempt, applying capped exponential backoff — or quarantines it
 // once the attempt budget is spent. Quarantine is conservative λDU
 // accounting, not data loss: Result synthesizes a dangerous-undetected
@@ -633,10 +585,9 @@ func (c *Coordinator) Tick() {
 	for _, r := range c.ranges {
 		if r.status == rangeLeased && r.worker != 0 && now.After(r.deadline) {
 			c.cfg.Telemetry.LeaseExpired()
-			c.cfg.Telemetry.WorkerRetry()
 			c.logf("lease %d on range [%d,%d) expired (worker #%d silent past TTL)", r.lease, r.lo, r.hi, r.worker)
 			c.endLeaseSpanLocked(r, "expired")
-			c.requeueLocked(r, "lease expired: no heartbeat within TTL")
+			c.failLeaseLocked(r, r.lease, "lease expired: no heartbeat within TTL")
 		}
 	}
 	if !c.finished {
@@ -648,91 +599,38 @@ func (c *Coordinator) Tick() {
 }
 
 // runLocal executes runnable ranges in process while no live worker
-// can take them. The range runs outside the coordinator lock; its
-// completion flows through the same validation and duplicate checks
-// as a worker result.
+// can take them. The range runs outside the coordinator lock; it is
+// granted and completed through the same functions as a worker's
+// lease, so its result gets the same validation and duplicate checks.
 func (c *Coordinator) runLocal() {
 	if c.cfg.LocalRunner == nil {
 		return
 	}
 	for {
-		now := c.cfg.Clock()
 		c.mu.Lock()
 		if c.finished || c.localBusy || c.liveWorkersLocked() > 0 {
 			c.mu.Unlock()
 			return
 		}
-		ri := c.runnableLocked(now)
-		if ri < 0 {
+		r := c.grantLocked(0, "local runner (no live workers)", c.cfg.Clock())
+		if r == nil {
 			c.mu.Unlock()
 			return
 		}
-		// Hold the range by pointer across the unlock: adaptive splits
-		// can insert ranges mid-slice while the local runner is out, so
-		// slice indices are not stable (the pointer is).
-		r := c.splitForIssueLocked(ri)
-		c.nextLease++
-		lease := c.nextLease
-		r.status = rangeLeased
-		r.lease = lease
-		r.worker = 0 // local leases have no TTL: the runner is us
-		r.issuedAt = now
-		c.leaseRange[lease] = leaseRef{r: r, lo: r.lo, hi: r.hi}
+		lease := r.lease
 		c.localBusy = true
-		lo, hi := r.lo, r.hi
-		c.cfg.Telemetry.LeaseIssued()
-		c.startLeaseSpanLocked(r, 0)
-		c.logf("lease %d: range [%d,%d) -> local runner (no live workers)", lease, lo, hi)
 		c.mu.Unlock()
 
-		ck, err := c.cfg.LocalRunner(lo, hi)
+		ck, err := c.cfg.LocalRunner(r.lo, r.hi)
 
 		c.mu.Lock()
 		c.localBusy = false
-		if c.finished {
-			c.mu.Unlock()
-			return
-		}
 		switch {
+		case c.finished: // failed, or a worker settled the last range meanwhile
 		case err != nil:
-			if r.status == rangeLeased && r.lease == lease {
-				c.cfg.Telemetry.WorkerRetry()
-				c.endLeaseSpanLocked(r, "failed")
-				c.requeueLocked(r, "local: "+err.Error())
-			}
-		case r.status == rangeDone:
-			// A late worker result completed the range while we ran it
-			// locally: verify ours is byte-identical, as for any
-			// duplicate.
-			if !bytes.Equal(c.codec.Encode(ck), r.result) {
-				c.failLocked(fmt.Errorf(
-					"dist: determinism violation: range [%d,%d) produced two different results (local lease %d)",
-					lo, hi, lease))
-			}
-		case r.status == rangeQuarantined:
-			// Quarantine is final; see result().
+			c.failLeaseLocked(r, lease, "local: "+err.Error())
 		default:
-			enc := c.codec.Encode(ck)
-			if verr := c.validateResultLocked(r, enc); verr != nil {
-				c.cfg.Telemetry.WorkerRetry()
-				c.endLeaseSpanLocked(r, "failed")
-				c.requeueLocked(r, "local: "+verr.Error())
-			} else {
-				if r.status == rangeLeased && r.lease == lease {
-					c.observeLeaseLocked(hi-lo, c.cfg.Clock().Sub(r.issuedAt))
-					c.endLeaseSpanLocked(r, "done")
-				} else {
-					c.endLeaseSpanLocked(r, "superseded")
-				}
-				r.status = rangeDone
-				r.result = enc
-				r.lastErr = ""
-				c.remaining--
-				c.logf("range [%d,%d) done locally (%d remaining)", lo, hi, c.remaining)
-				if c.remaining == 0 {
-					c.finishLocked()
-				}
-			}
+			c.completeLocked(r, lease, c.codec.Encode(ck), "local runner")
 		}
 		c.mu.Unlock()
 	}
@@ -792,12 +690,8 @@ func (c *Coordinator) Result() (*inject.Checkpoint, error) {
 	for _, r := range c.ranges {
 		switch r.status {
 		case rangeDone:
-			ck, err := c.codec.Decode(r.result)
-			if err != nil {
-				return nil, fmt.Errorf("dist: stored result for range [%d,%d) corrupt: %w", r.lo, r.hi, err)
-			}
-			merged.Results = append(merged.Results, ck.Results...)
-			merged.Quarantined = append(merged.Quarantined, ck.Quarantined...)
+			merged.Results = append(merged.Results, r.ck.Results...)
+			merged.Quarantined = append(merged.Quarantined, r.ck.Quarantined...)
 		case rangeQuarantined:
 			for i := r.lo; i < r.hi; i++ {
 				merged.Quarantined = append(merged.Quarantined, inject.Quarantined{

@@ -108,7 +108,6 @@ type distOpts struct {
 	collapse  bool // static pre-pass inside each worker
 	local     bool // coordinator local-fallback runner enabled
 	traced    bool // span journals on coordinator and every worker
-	adaptive  bool // latency-driven lease splitting (aggressive target)
 	rangeSize int
 	tel       *telemetry.Campaign
 }
@@ -151,13 +150,6 @@ func runDistributed(t *testing.T, c campaign, o distOpts) *inject.Report {
 		BackoffCap:  time.Microsecond,
 		Clock:       clk.Now,
 		Telemetry:   tel,
-	}
-	if o.adaptive {
-		cfg.Adaptive = true
-		// The fake clock moves in microsecond steps, so a microsecond
-		// target keeps the splitter engaged for the whole campaign.
-		cfg.TargetLease = time.Microsecond
-		cfg.MinRange = 2
 	}
 	if o.local {
 		lt := *c.target
@@ -267,25 +259,23 @@ func TestDistNeutralityMatrix(t *testing.T) {
 		collapse  bool
 		local     bool
 		traced    bool
-		adaptive  bool
 	}{
-		{"v2/1worker", "v2", 1, 0, 1, false, false, false, false},
-		{"v2/2workers-kill", "v2", 2, 2, 1, false, false, false, false},
-		{"v2/4workers-lanes64-collapse", "v2", 4, 0, 64, true, false, false, false},
-		{"v2/2workers-kill-lanes64", "v2", 2, 2, 64, false, false, false, false},
-		{"v2/all-workers-die-local-fallback", "v2", 1, 1, 1, false, true, false, false},
-		{"v1/2workers-collapse", "v1", 2, 0, 1, true, false, false, false},
-		{"v1/2workers-kill-local", "v1", 2, 1, 64, false, true, false, false},
-		{"lockstep/2workers-lanes64-collapse", "lockstep", 2, 0, 64, true, false, false, false},
-		{"lockstep/2workers-kill", "lockstep", 2, 2, 1, false, false, false, false},
-		// Tracing and adaptive sizing are knobs like lanes and collapse:
-		// the merged bytes must not notice them, alone or combined, in
-		// calm fleets or through a worker kill.
-		{"v2/1worker-traced", "v2", 1, 0, 1, false, false, true, false},
-		{"v2/4workers-lanes64-traced-adaptive", "v2", 4, 0, 64, false, false, true, true},
-		{"v2/2workers-kill-adaptive", "v2", 2, 2, 1, false, false, false, true},
-		{"v1/2workers-kill-traced-adaptive", "v1", 2, 2, 1, false, false, true, true},
-		{"lockstep/4workers-lanes64-traced-adaptive", "lockstep", 4, 0, 64, true, false, true, true},
+		{"v2/1worker", "v2", 1, 0, 1, false, false, false},
+		{"v2/2workers-kill", "v2", 2, 2, 1, false, false, false},
+		{"v2/4workers-lanes64-collapse", "v2", 4, 0, 64, true, false, false},
+		{"v2/2workers-kill-lanes64", "v2", 2, 2, 64, false, false, false},
+		{"v2/2workers-kill-collapse", "v2", 2, 2, 1, true, false, false},
+		{"v2/all-workers-die-local-fallback", "v2", 1, 1, 1, false, true, false},
+		{"v1/2workers-collapse", "v1", 2, 0, 1, true, false, false},
+		{"v1/2workers-kill-local", "v1", 2, 1, 64, false, true, false},
+		{"lockstep/2workers-lanes64-collapse", "lockstep", 2, 0, 64, true, false, false},
+		{"lockstep/2workers-kill", "lockstep", 2, 2, 1, false, false, false},
+		// Tracing is a knob like lanes and collapse: the merged bytes
+		// must not notice it, in calm fleets or through a worker kill.
+		{"v2/1worker-traced", "v2", 1, 0, 1, false, false, true},
+		{"v2/4workers-lanes64-traced", "v2", 4, 0, 64, false, false, true},
+		{"v1/2workers-kill-traced", "v1", 2, 2, 1, false, false, true},
+		{"lockstep/4workers-lanes64-collapse-traced", "lockstep", 4, 0, 64, true, false, true},
 	}
 
 	campaigns := map[string]campaign{}
@@ -309,7 +299,6 @@ func TestDistNeutralityMatrix(t *testing.T) {
 				collapse:  cell.collapse,
 				local:     cell.local,
 				traced:    cell.traced,
-				adaptive:  cell.adaptive,
 				rangeSize: 7, // prime: ranges straddle zone and class boundaries
 			})
 			if !reflect.DeepEqual(refs[cell.kind], rep) {
@@ -433,6 +422,93 @@ func TestDistTelemetryCounters(t *testing.T) {
 	line := snap.Line()
 	if !strings.Contains(line, fmt.Sprintf("leases %d", snap.LeasesIssued)) {
 		t.Errorf("progress line does not surface lease counters: %s", line)
+	}
+}
+
+// runScripted drives one coordinator over the wire with a scripted
+// per-lease latency schedule — the first lease is a straggler, every
+// later lease is fast — and returns the number of leases granted. The
+// fake clock makes every observed lease duration a pure function of
+// the script.
+func runScripted(t *testing.T, c campaign, tel *telemetry.Campaign) int {
+	t.Helper()
+	clk := newFakeClock()
+	coord, err := dist.New(dist.Config{
+		Plan:        c.plan,
+		RangeSize:   16,
+		LeaseTTL:    time.Hour,
+		MaxAttempts: 5,
+		BackoffBase: time.Nanosecond,
+		Clock:       clk.Now,
+		Telemetry:   tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	go coord.Serve(server)
+	wc := dist.NewConn(client)
+	if err := wc.Write(helloFor("scripted", c.plan)); err != nil {
+		t.Fatal(err)
+	}
+
+	leases := 0
+	for ; ; leases++ {
+		m, err := wc.Read()
+		if err != nil {
+			t.Fatalf("lease %d: %v", leases, err)
+		}
+		if m.T == dist.MsgFin {
+			break
+		}
+		if m.T != dist.MsgLease {
+			t.Fatalf("lease %d: got %q, want a lease", leases, m.T)
+		}
+		// The straggler: 100ms per row on the first lease. Everything
+		// after runs at 0.5ms per row.
+		d := time.Duration(m.Hi-m.Lo) * 500 * time.Microsecond
+		if leases == 0 {
+			d = time.Duration(m.Hi-m.Lo) * 100 * time.Millisecond
+		}
+		clk.Advance(d)
+		ck, err := c.target.RunRange(c.golden, c.plan, 2, m.Lo, m.Hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wc.Write(&dist.Msg{
+			T: dist.MsgResult, Lease: m.Lease,
+			Ckpt: inject.EncodeCheckpoint(ck, c.plan),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-coord.Done()
+	if err := coord.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return leases
+}
+
+// TestRangeHistogramsAlwaysLive: the range-duration and range-rows
+// histograms feed /metrics and cmd/tracer's straggler report, so every
+// live-lease completion must populate them.
+func TestRangeHistogramsAlwaysLive(t *testing.T) {
+	c := buildCampaign(t, "v2")
+	tel := telemetry.NewCampaign(nil, nil)
+	leases := runScripted(t, c, tel)
+
+	reg := tel.Registry.Snapshot()
+	for _, name := range []string{"range_duration_ms", "range_rows"} {
+		h, ok := reg.Histograms[name]
+		if !ok {
+			t.Fatalf("histogram %s not registered", name)
+		}
+		if h.Count != int64(leases) {
+			t.Fatalf("%s count = %d, want one observation per live lease (%d)", name, h.Count, leases)
+		}
+	}
+	if h := reg.Histograms["range_rows"]; h.Sum != int64(len(c.plan)) {
+		t.Fatalf("range_rows sum = %d, want plan length %d", h.Sum, len(c.plan))
 	}
 }
 
@@ -786,6 +862,155 @@ func TestDuplicateIdenticalAccepted(t *testing.T) {
 	if len(ck.Results)+len(ck.Quarantined) != len(c.plan) {
 		t.Fatalf("merged state covers %d rows, want %d (no double-counting)",
 			len(ck.Results)+len(ck.Quarantined), len(c.plan))
+	}
+}
+
+// TestLocalRunnerDuplicate: the local runner holds range 0 when a late
+// result for it arrives under a revoked worker lease and completes it.
+// The local runner's own result is then a duplicate, checked by the
+// same rule as a worker's: identical bytes are absorbed and the report
+// equals the serial reference, divergent bytes fail the campaign.
+func TestLocalRunnerDuplicate(t *testing.T) {
+	c := buildCampaign(t, "v2")
+	refBytes := renderReport(serialReference(t, c), c)
+	for _, tc := range []struct {
+		name    string
+		diverge bool
+	}{{"identical", false}, {"divergent", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock()
+			half := (len(c.plan) + 1) / 2
+			started := make(chan struct{})
+			release := make(chan struct{})
+			coord, err := dist.New(dist.Config{
+				Plan:        c.plan,
+				RangeSize:   half, // two ranges: the campaign stays open past range 0
+				LeaseTTL:    time.Minute,
+				MaxAttempts: 10,
+				BackoffBase: time.Millisecond,
+				Clock:       clk.Now,
+				LocalRunner: func(lo, hi int) (*inject.Checkpoint, error) {
+					close(started)
+					<-release
+					return c.target.RunRange(c.golden, c.plan, 2, lo, hi)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Worker A takes range 0, goes silent past the TTL, is
+			// handed range 1, and disconnects.
+			serverA, clientA := net.Pipe()
+			serveA := make(chan struct{})
+			go func() {
+				defer close(serveA)
+				coord.Serve(serverA)
+			}()
+			a := dist.NewConn(clientA)
+			if err := a.Write(helloFor("A", c.plan)); err != nil {
+				t.Fatal(err)
+			}
+			lease1, err := a.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lease1.T != dist.MsgLease || lease1.Lo != 0 {
+				t.Fatalf("A's first grant: %q [%d,%d), want a lease on range 0", lease1.T, lease1.Lo, lease1.Hi)
+			}
+			clk.Advance(2 * time.Minute)
+			coord.Tick()
+			if _, err := a.Read(); err != nil {
+				t.Fatal(err)
+			}
+			clientA.Close()
+			<-serveA
+
+			// No live worker: once the backoff clears, the local
+			// runner takes range 0 and blocks.
+			clk.Advance(time.Second)
+			tickDone := make(chan struct{})
+			go func() {
+				defer close(tickDone)
+				coord.Tick()
+			}()
+			<-started
+
+			// Worker B joins, is granted range 1, and delivers A's
+			// revoked lease's result for range 0, which completes it.
+			serverB, clientB := net.Pipe()
+			defer clientB.Close()
+			go coord.Serve(serverB)
+			b := dist.NewConn(clientB)
+			if err := b.Write(helloFor("B", c.plan)); err != nil {
+				t.Fatal(err)
+			}
+			lease3, err := b.Read()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lease3.T != dist.MsgLease || lease3.Lo != half {
+				t.Fatalf("B's grant: %q [%d,%d), want a lease on range 1", lease3.T, lease3.Lo, lease3.Hi)
+			}
+			late, err := c.target.RunRange(c.golden, c.plan, 2, lease1.Lo, lease1.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.diverge {
+				late.Results[0].Result.FirstDevCycle++
+			}
+			if err := b.Write(&dist.Msg{
+				T: dist.MsgResult, Lease: lease1.Lease,
+				Ckpt: inject.EncodeCheckpoint(late, c.plan),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			// net.Pipe is unbuffered and Serve handles one message at a
+			// time, so once this heartbeat is read the result has been
+			// handled.
+			if err := b.Write(&dist.Msg{T: dist.MsgHeartbeat, Lease: lease3.Lease}); err != nil {
+				t.Fatal(err)
+			}
+
+			// The local runner's result is compared inside this Tick.
+			close(release)
+			<-tickDone
+			if tc.diverge {
+				if err := coord.Err(); err == nil || !strings.Contains(err.Error(), "determinism violation") {
+					t.Fatalf("campaign error = %v, want a determinism violation", err)
+				}
+				return
+			}
+			if err := coord.Err(); err != nil {
+				t.Fatalf("identical local duplicate failed the campaign: %v", err)
+			}
+
+			ck, err := c.target.RunRange(c.golden, c.plan, 2, lease3.Lo, lease3.Hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Write(&dist.Msg{
+				T: dist.MsgResult, Lease: lease3.Lease,
+				Ckpt: inject.EncodeCheckpoint(ck, c.plan),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if fin, err := b.Read(); err != nil || fin.T != dist.MsgFin {
+				t.Fatalf("got %v, %v after the last range, want fin", fin, err)
+			}
+			<-coord.Done()
+			merged, err := coord.Result()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.target.AssembleReport(c.plan, merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(renderReport(rep, c), refBytes) {
+				t.Fatal("report bytes differ from the serial reference")
+			}
+		})
 	}
 }
 

@@ -404,9 +404,8 @@ func (c *Campaign) WorkerLeft() {
 }
 
 // RangeDone records one leased plan range completing: its row count
-// and its observed lease duration. These histograms are what the
-// coordinator's latency-driven adaptive lease sizing reads back, and
-// what /metrics exposes as range_duration_ms / range_rows.
+// and its observed lease duration, exposed on /metrics as
+// range_duration_ms / range_rows.
 func (c *Campaign) RangeDone(rows int, d time.Duration) {
 	if c == nil {
 		return
