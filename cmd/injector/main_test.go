@@ -20,6 +20,7 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"tiny clean campaign", []string{"-design", "v1", "-addr", "6", "-words", "2", "-transient", "1", "-permanent", "1", "-wide", "2", "-require-coverage=false"}, 0},
 		{"tiny campaign fails coverage gate", []string{"-design", "v1", "-addr", "6", "-words", "2", "-transient", "1", "-permanent", "1", "-wide", "2"}, 4},
+		{"address width too large to simulate", []string{"-design", "v1", "-addr", "40"}, 1},
 		{"unknown design", []string{"-design", "nope"}, 2},
 		{"design without a DUT", []string{"-design", "rand"}, 2},
 		{"unknown flag", []string{"-frobnicate"}, 2},

@@ -170,13 +170,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 // campaign failed terminally.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
-// Err returns the terminal campaign error, if any.
-func (c *Coordinator) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failed
-}
-
 // Serve runs the protocol for one worker connection until it
 // disconnects or the campaign ends. Call it in its own goroutine per
 // accepted connection; it closes rw before returning.

@@ -36,16 +36,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Permanent reports whether the fault persists until repaired (stuck-at,
-// bridge) as opposed to transient (flip, delay glitch).
-func (k Kind) Permanent() bool {
-	switch k {
-	case SA0, SA1, BridgeAND, BridgeOR:
-		return true
-	}
-	return false
-}
-
 // SiteKind says where the fault attaches.
 type SiteKind uint8
 

@@ -21,12 +21,6 @@ func mkAndDesign(t *testing.T) *netlist.Netlist {
 }
 
 func TestKindProperties(t *testing.T) {
-	if !SA0.Permanent() || !SA1.Permanent() || !BridgeAND.Permanent() || !BridgeOR.Permanent() {
-		t.Error("stuck-at/bridge must be permanent")
-	}
-	if Flip.Permanent() || DelayX.Permanent() {
-		t.Error("flip/delay must be transient")
-	}
 	for k, want := range map[Kind]string{SA0: "SA0", SA1: "SA1", Flip: "FLIP", BridgeAND: "BRAND", BridgeOR: "BROR", DelayX: "DELAYX"} {
 		if k.String() != want {
 			t.Errorf("%v.String() = %q", k, k.String())
@@ -242,10 +236,11 @@ func TestFanoutBranchNotCollapsed(t *testing.T) {
 	}
 }
 
-func TestFlipUniverse(t *testing.T) {
-	n := mkAndDesign(t)
-	fl := FlipUniverse(n)
-	if len(fl) != 1 || fl[0].Kind != Flip || fl[0].FF != 0 {
-		t.Errorf("FlipUniverse = %+v", fl)
+// TestSiteKindString pins the site names fault descriptions print.
+func TestSiteKindString(t *testing.T) {
+	for k, want := range map[SiteKind]string{SiteNet: "net", SitePin: "pin", SiteFF: "flip-flop", SiteKind(9): "SiteKind(9)"} {
+		if got := k.String(); got != want {
+			t.Errorf("SiteKind(%d).String() = %q, want %q", uint8(k), got, want)
+		}
 	}
 }

@@ -44,15 +44,6 @@ func StuckAtUniverse(n *netlist.Netlist) *Universe {
 	return u
 }
 
-// FlipUniverse enumerates one transient bit-flip fault per flip-flop.
-func FlipUniverse(n *netlist.Netlist) []Fault {
-	out := make([]Fault, 0, len(n.FFs))
-	for i := range n.FFs {
-		out = append(out, FFFlip(netlist.FFID(i)))
-	}
-	return out
-}
-
 // collapse applies standard structural equivalence rules:
 //
 //   - AND/NAND: SA0 on any input pin ≡ SA0 (SA1 for NAND) on the output;

@@ -53,26 +53,6 @@ type Contribution struct {
 // Total returns transient + permanent FIT.
 func (c Contribution) Total() float64 { return c.Transient + c.Permanent }
 
-// Add accumulates another contribution.
-func (c Contribution) Add(o Contribution) Contribution {
-	return Contribution{c.Transient + o.Transient, c.Permanent + o.Permanent}
-}
-
-// Scale multiplies both components.
-func (c Contribution) Scale(f float64) Contribution {
-	return Contribution{c.Transient * f, c.Permanent * f}
-}
-
-// RegisterZone computes the FIT contribution of a register sensible
-// zone: its own flip-flops plus the fan-in cone whose faults converge
-// into it.
-func (r Rates) RegisterZone(ffCount, coneGates int) Contribution {
-	return Contribution{
-		Transient: float64(ffCount)*r.FFTransient + float64(coneGates)*r.GateTransient*r.LatchingFraction,
-		Permanent: float64(ffCount)*r.FFPermanent + float64(coneGates)*r.GatePermanent,
-	}
-}
-
 // LogicCone computes the FIT contribution of a pure combinational cone
 // (output zones, sub-block zones).
 func (r Rates) LogicCone(coneGates int) Contribution {
@@ -89,36 +69,4 @@ func (r Rates) MemoryArray(bits int) Contribution {
 		Transient: float64(bits) * r.MemBitTransient,
 		Permanent: float64(bits) * r.MemBitPermanent,
 	}
-}
-
-// ScaleAll returns a copy with every rate multiplied by f (sensitivity
-// spans). The latching fraction is a probability and is not scaled.
-func (r Rates) ScaleAll(f float64) Rates {
-	out := r
-	out.GatePermanent *= f
-	out.GateTransient *= f
-	out.FFPermanent *= f
-	out.FFTransient *= f
-	out.MemBitPermanent *= f
-	out.MemBitTransient *= f
-	return out
-}
-
-// ScaleTransient returns a copy with only transient rates scaled —
-// spanning the soft-error assumption independently of process aging.
-func (r Rates) ScaleTransient(f float64) Rates {
-	out := r
-	out.GateTransient *= f
-	out.FFTransient *= f
-	out.MemBitTransient *= f
-	return out
-}
-
-// ScalePermanent returns a copy with only permanent rates scaled.
-func (r Rates) ScalePermanent(f float64) Rates {
-	out := r
-	out.GatePermanent *= f
-	out.FFPermanent *= f
-	out.MemBitPermanent *= f
-	return out
 }

@@ -3,7 +3,6 @@ package fit
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func close(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -21,19 +20,6 @@ func TestDefaultSane(t *testing.T) {
 	}
 }
 
-func TestRegisterZone(t *testing.T) {
-	r := Default()
-	c := r.RegisterZone(4, 10)
-	wantT := 4*r.FFTransient + 10*r.GateTransient*r.LatchingFraction
-	wantP := 4*r.FFPermanent + 10*r.GatePermanent
-	if !close(c.Transient, wantT) || !close(c.Permanent, wantP) {
-		t.Errorf("RegisterZone = %+v, want {%v %v}", c, wantT, wantP)
-	}
-	if !close(c.Total(), wantT+wantP) {
-		t.Error("Total wrong")
-	}
-}
-
 func TestLogicConeAndMemory(t *testing.T) {
 	r := Default()
 	lc := r.LogicCone(100)
@@ -46,72 +32,20 @@ func TestLogicConeAndMemory(t *testing.T) {
 	}
 }
 
-func TestContributionAlgebra(t *testing.T) {
-	a := Contribution{1, 2}
-	b := Contribution{3, 4}
-	if got := a.Add(b); !close(got.Transient, 4) || !close(got.Permanent, 6) {
-		t.Errorf("Add = %+v", got)
-	}
-	if got := a.Scale(2.5); !close(got.Transient, 2.5) || !close(got.Permanent, 5) {
-		t.Errorf("Scale = %+v", got)
-	}
-}
-
-func TestScaleAllLinear(t *testing.T) {
+// TestContributionTotal checks that a contribution's total is the sum
+// of its transient and permanent parts, so a memory array's total is
+// linear in its bit count.
+func TestContributionTotal(t *testing.T) {
 	r := Default()
-	f := func(ff, gates uint8, scale float64) bool {
-		s := math.Abs(scale)
-		if s > 100 {
-			s = math.Mod(s, 100)
-		}
-		base := r.RegisterZone(int(ff), int(gates))
-		scaled := r.ScaleAll(s).RegisterZone(int(ff), int(gates))
-		return math.Abs(scaled.Total()-base.Total()*s) < 1e-9*(1+base.Total()*s)
+	c := Contribution{Transient: 1.5, Permanent: 0.25}
+	if !close(c.Total(), 1.75) {
+		t.Errorf("Total = %v, want 1.75", c.Total())
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	one := r.MemoryArray(1)
+	if !close(one.Total(), r.MemBitTransient+r.MemBitPermanent) {
+		t.Errorf("one-bit total = %v", one.Total())
 	}
-}
-
-func TestScaleTransientOnly(t *testing.T) {
-	r := Default()
-	s := r.ScaleTransient(3)
-	if !close(s.FFTransient, 3*r.FFTransient) || !close(s.MemBitTransient, 3*r.MemBitTransient) {
-		t.Error("transient rates not scaled")
-	}
-	if !close(s.FFPermanent, r.FFPermanent) || !close(s.GatePermanent, r.GatePermanent) {
-		t.Error("permanent rates must be untouched")
-	}
-	if !close(s.LatchingFraction, r.LatchingFraction) {
-		t.Error("latching fraction must be untouched")
-	}
-}
-
-func TestScalePermanentOnly(t *testing.T) {
-	r := Default()
-	s := r.ScalePermanent(0.5)
-	if !close(s.GatePermanent, 0.5*r.GatePermanent) {
-		t.Error("permanent not scaled")
-	}
-	if !close(s.GateTransient, r.GateTransient) {
-		t.Error("transient must be untouched")
-	}
-}
-
-// SFF-style ratios must be invariant under uniform rate scaling — the
-// core reason absolute calibration doesn't matter.
-func TestRatioInvariance(t *testing.T) {
-	r := Default()
-	for _, scale := range []float64{0.1, 0.5, 2, 10} {
-		s := r.ScaleAll(scale)
-		a := r.RegisterZone(8, 50)
-		b := r.MemoryArray(4096)
-		as := s.RegisterZone(8, 50)
-		bs := s.MemoryArray(4096)
-		ratio := a.Total() / (a.Total() + b.Total())
-		ratioS := as.Total() / (as.Total() + bs.Total())
-		if math.Abs(ratio-ratioS) > 1e-12 {
-			t.Errorf("scale %v changed ratio: %v vs %v", scale, ratio, ratioS)
-		}
+	if got := r.MemoryArray(4096).Total(); math.Abs(got-4096*one.Total()) > 1e-9 {
+		t.Errorf("4096-bit total = %v, want %v", got, 4096*one.Total())
 	}
 }

@@ -136,3 +136,42 @@ func TestPeripheralZoneNeedsOverride(t *testing.T) {
 		}
 	}
 }
+
+// TestRegisterZoneLambda pins the register-zone rate the builder
+// derives from the elementary rates: flip-flop transients plus latched
+// logic transients on the transient row, flip-flop permanents on the
+// stuck-register row, and logic permanents on the stuck-at row, with
+// the zone's ownership-weighted gate count.
+func TestRegisterZoneLambda(t *testing.T) {
+	a := sharedConeDesign(t)
+	rates := fit.Default()
+	eff := OwnershipWeights(a)
+	w := FromAnalysis(a, rates, nil)
+	for _, name := range []string{"r1", "r2"} {
+		z, _ := a.ZoneByName(name)
+		ff := float64(len(z.FFs))
+		want := map[iec61508.FailureMode]fit.Contribution{
+			iec61508.FMTransient:     {Transient: ff*rates.FFTransient + eff[z.ID]*rates.GateTransient*rates.LatchingFraction},
+			iec61508.FMRegisterStuck: {Permanent: ff * rates.FFPermanent},
+			iec61508.FMStuckAtLogic:  {Permanent: eff[z.ID] * rates.GatePermanent},
+		}
+		seen := 0
+		for _, r := range w.Rows {
+			if r.Zone != z.ID {
+				continue
+			}
+			seen++
+			wl, ok := want[r.Mode]
+			if !ok {
+				t.Errorf("%s: unexpected row mode %v", name, r.Mode)
+				continue
+			}
+			if math.Abs(r.Lambda.Transient-wl.Transient) > 1e-12 || math.Abs(r.Lambda.Permanent-wl.Permanent) > 1e-12 {
+				t.Errorf("%s %v: λ = %+v, want %+v", name, r.Mode, r.Lambda, wl)
+			}
+		}
+		if seen != len(want) {
+			t.Errorf("%s: %d rows, want %d", name, seen, len(want))
+		}
+	}
+}

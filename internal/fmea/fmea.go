@@ -283,23 +283,6 @@ func (w *Worksheet) ScaleS(f float64) *Worksheet {
 	return out
 }
 
-// ScaleDDF returns a copy with every DDF claim scaled, re-clamped to the
-// techniques' norm maxima.
-func (w *Worksheet) ScaleDDF(f float64) *Worksheet {
-	out := w.Clone()
-	for i := range out.Rows {
-		r := &out.Rows[i]
-		d := DDF{
-			HWTransient: r.DDF.HWTransient * f,
-			HWPermanent: r.DDF.HWPermanent * f,
-			SWTransient: r.DDF.SWTransient * f,
-			SWPermanent: r.DDF.SWPermanent * f,
-		}
-		r.DDF = clampDDF(d, r.TechHW, r.TechSW)
-	}
-	return out
-}
-
 // ShiftFreq returns a copy with every frequency class shifted by delta
 // classes (positive = less frequently used), clamped to [F1, F4].
 func (w *Worksheet) ShiftFreq(delta int) *Worksheet {

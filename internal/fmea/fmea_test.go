@@ -180,7 +180,6 @@ func TestScaleTransformsDoNotMutateOriginal(t *testing.T) {
 	orig := w.Totals()
 	_ = w.ScaleLambda(2, 3)
 	_ = w.ScaleS(0.5)
-	_ = w.ScaleDDF(0.5)
 	_ = w.ShiftFreq(2)
 	if got := w.Totals(); got != orig {
 		t.Error("transforms mutated the original worksheet")

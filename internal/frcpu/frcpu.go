@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/netlist"
 	"repro/internal/rtl"
-	"repro/internal/sim"
 )
 
 // ISA: 8-bit instructions, high nibble opcode, low nibble operand.
@@ -262,15 +261,4 @@ func StepRef(st *RefState, prog Program) {
 		st.Acc = ^st.Acc
 	}
 	st.PC = nextPC
-}
-
-// NewSimulator returns a simulator with run asserted.
-func (d *Design) NewSimulator() (*sim.Simulator, error) {
-	s, err := sim.New(d.N)
-	if err != nil {
-		return nil, err
-	}
-	s.SetInput("run", 1)
-	s.Eval()
-	return s, nil
 }

@@ -188,3 +188,40 @@ func TestInjectionLockstepDDF(t *testing.T) {
 	}
 	t.Logf("measured DDF: plain %.3f, lockstep %.3f", plain, lock)
 }
+
+// TestFlowDUT checks the adapter the methodology flow runs the
+// processing unit through: the workloads hold run high for the
+// configured cycle budget, and the target's golden run completes.
+func TestFlowDUT(t *testing.T) {
+	d, err := Build(LockstepConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFlowDUT(d)
+	if f.DesignName() != d.Cfg.Name {
+		t.Errorf("DesignName = %q, want %q", f.DesignName(), d.Cfg.Name)
+	}
+	val, cov := f.ValidationTrace(), f.CoverageTrace()
+	if val.Cycles() != f.Cycles || cov.Cycles() != 2*f.Cycles {
+		t.Errorf("workloads = %d and %d cycles, want %d and %d", val.Cycles(), cov.Cycles(), f.Cycles, 2*f.Cycles)
+	}
+	for i, vec := range val.Vecs {
+		if vec[0] != 1 {
+			t.Fatalf("cycle %d: run = %d, want 1", i, vec[0])
+		}
+	}
+	a, err := f.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := f.Worksheet(a, fit.Default()); len(w.Rows) == 0 {
+		t.Error("empty worksheet")
+	}
+	g, err := f.Target(a).RunGolden(val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g == nil {
+		t.Fatal("nil golden run")
+	}
+}

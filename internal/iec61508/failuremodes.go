@@ -44,16 +44,6 @@ func (f FailureMode) String() string {
 	return "unknown failure mode"
 }
 
-// Transient reports whether the mode is transient (soft error, bit-flip,
-// timing glitch) rather than permanent.
-func (f FailureMode) Transient() bool {
-	switch f {
-	case FMSoftError, FMTransient, FMTimingFault:
-		return true
-	}
-	return false
-}
-
 // ComponentClass selects a failure-mode catalog.
 type ComponentClass uint8
 
@@ -86,9 +76,10 @@ func CatalogFor(c ComponentClass) []FailureMode {
 		return []FailureMode{FMStuckAtData, FMStuckAtAddress, FMCrossOver, FMWrongAddressing, FMSoftError}
 	case ProcessingUnit:
 		return []FailureMode{FMRegisterStuck, FMCrossOver, FMWrongCoding, FMWrongExecution, FMTransient}
+	case DigitalLogic:
+		return []FailureMode{FMStuckAtLogic, FMBridging, FMTransient, FMTimingFault}
 	case Interconnect:
 		return []FailureMode{FMStuckAtLogic, FMBridging, FMClockFault, FMTimingFault}
-	default:
-		return []FailureMode{FMStuckAtLogic, FMBridging, FMTransient, FMTimingFault}
 	}
+	return nil
 }

@@ -129,23 +129,6 @@ func PFH(lambdaDUFIT float64) float64 {
 	return lambdaDUFIT * 1e-9
 }
 
-// PFHBand returns the norm's continuous-mode PFH band [low, high) for a
-// SIL: SIL1 [1e-6,1e-5), SIL2 [1e-7,1e-6), SIL3 [1e-8,1e-7),
-// SIL4 [1e-9,1e-8).
-func PFHBand(s SIL) (low, high float64, ok bool) {
-	switch s {
-	case SIL1:
-		return 1e-6, 1e-5, true
-	case SIL2:
-		return 1e-7, 1e-6, true
-	case SIL3:
-		return 1e-8, 1e-7, true
-	case SIL4:
-		return 1e-9, 1e-8, true
-	}
-	return 0, 0, false
-}
-
 // SILFromPFH grades a PFH value: the highest SIL whose band upper edge
 // exceeds it (SILNone when even SIL1's bound is exceeded).
 func SILFromPFH(pfh float64) SIL {
@@ -157,29 +140,6 @@ func SILFromPFH(pfh float64) SIL {
 	case pfh < 1e-6:
 		return SIL2
 	case pfh < 1e-5:
-		return SIL1
-	}
-	return SILNone
-}
-
-// PFDavg is the average probability of failure on demand for a
-// low-demand safety function that is proof-tested every tiHours: the
-// standard single-channel approximation λDU·Ti/2 with λDU in FIT.
-func PFDavg(lambdaDUFIT, tiHours float64) float64 {
-	return lambdaDUFIT * 1e-9 * tiHours / 2
-}
-
-// SILFromPFD grades a PFDavg per IEC 61508-1 Table 2 (low-demand mode):
-// SIL1 [1e-2,1e-1), SIL2 [1e-3,1e-2), SIL3 [1e-4,1e-3), SIL4 [1e-5,1e-4).
-func SILFromPFD(pfd float64) SIL {
-	switch {
-	case pfd < 1e-4:
-		return SIL4
-	case pfd < 1e-3:
-		return SIL3
-	case pfd < 1e-2:
-		return SIL2
-	case pfd < 1e-1:
 		return SIL1
 	}
 	return SILNone

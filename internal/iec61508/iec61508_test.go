@@ -136,12 +136,6 @@ func TestFailureModeCatalogs(t *testing.T) {
 }
 
 func TestFailureModeProperties(t *testing.T) {
-	if !FMSoftError.Transient() || !FMTransient.Transient() || !FMTimingFault.Transient() {
-		t.Error("transient modes misreported")
-	}
-	if FMStuckAtData.Transient() || FMBridging.Transient() {
-		t.Error("permanent modes misreported")
-	}
 	if FMStuckAtData.String() != "stuck-at data" {
 		t.Errorf("FMStuckAtData = %q", FMStuckAtData.String())
 	}
@@ -220,20 +214,6 @@ func TestPFHConversion(t *testing.T) {
 	}
 }
 
-func TestPFHBands(t *testing.T) {
-	for s, want := range map[SIL][2]float64{
-		SIL1: {1e-6, 1e-5}, SIL2: {1e-7, 1e-6}, SIL3: {1e-8, 1e-7}, SIL4: {1e-9, 1e-8},
-	} {
-		lo, hi, ok := PFHBand(s)
-		if !ok || lo != want[0] || hi != want[1] {
-			t.Errorf("PFHBand(%v) = %v,%v,%v", s, lo, hi, ok)
-		}
-	}
-	if _, _, ok := PFHBand(SILNone); ok {
-		t.Error("PFHBand(SILNone) should fail")
-	}
-}
-
 func TestSILFromPFH(t *testing.T) {
 	cases := map[float64]SIL{
 		5e-10: SIL4, 5e-9: SIL4, 5e-8: SIL3, 5e-7: SIL2, 5e-6: SIL1, 5e-5: SILNone,
@@ -241,32 +221,6 @@ func TestSILFromPFH(t *testing.T) {
 	for pfh, want := range cases {
 		if got := SILFromPFH(pfh); got != want {
 			t.Errorf("SILFromPFH(%v) = %v, want %v", pfh, got, want)
-		}
-	}
-	// Consistency: a PFH at a band's low edge grades at least that SIL.
-	for _, s := range []SIL{SIL1, SIL2, SIL3, SIL4} {
-		lo, _, _ := PFHBand(s)
-		if got := SILFromPFH(lo); got < s {
-			t.Errorf("low edge of %v grades %v", s, got)
-		}
-	}
-}
-
-func TestPFDavgAndGrading(t *testing.T) {
-	// 100 FIT undetected, yearly proof test: 1e-7/h * 8760h / 2 ≈ 4.4e-4.
-	pfd := PFDavg(100, 8760)
-	if pfd < 4e-4 || pfd > 5e-4 {
-		t.Errorf("PFDavg(100 FIT, 1y) = %v", pfd)
-	}
-	if got := SILFromPFD(pfd); got != SIL3 {
-		t.Errorf("grade = %v, want SIL3", got)
-	}
-	cases := map[float64]SIL{
-		5e-5: SIL4, 5e-4: SIL3, 5e-3: SIL2, 5e-2: SIL1, 5e-1: SILNone,
-	}
-	for pfd, want := range cases {
-		if got := SILFromPFD(pfd); got != want {
-			t.Errorf("SILFromPFD(%v) = %v, want %v", pfd, got, want)
 		}
 	}
 }

@@ -185,14 +185,10 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-// WriteCheckpoint atomically persists campaign state: the encoding is
-// written to a temp file in the same directory and renamed over the
-// destination, so a crash at any instant leaves a complete checkpoint
-// (the previous or the new one) on disk.
-func WriteCheckpoint(path string, ck *Checkpoint, plan []Injection) error {
-	return NewCodec(plan).write(path, ck)
-}
-
+// write atomically persists campaign state: the encoding is written to
+// a temp file in the same directory and renamed over the destination,
+// so a crash at any instant leaves a complete checkpoint (the previous
+// or the new one) on disk.
 func (c Codec) write(path string, ck *Checkpoint) error {
 	data := c.Encode(ck)
 	dir := filepath.Dir(path)
@@ -216,12 +212,7 @@ func (c Codec) write(path string, ck *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads and validates a checkpoint file against the
-// live plan.
-func LoadCheckpoint(path string, plan []Injection) (*Checkpoint, error) {
-	return NewCodec(plan).load(path)
-}
-
+// load reads and validates a checkpoint file against the codec's plan.
 func (c Codec) load(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -388,3 +388,23 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+// TestCodecPlanHash checks that a codec carries the fingerprint of the
+// plan it was built from, and that the fingerprint tells plans apart.
+func TestCodecPlanHash(t *testing.T) {
+	plan := syntheticPlan()
+	if got, want := inject.NewCodec(plan).PlanHash(), inject.PlanHash(plan); got != want {
+		t.Fatalf("codec hash %#x, want PlanHash %#x", got, want)
+	}
+	if inject.PlanHash(plan) != inject.PlanHash(append([]inject.Injection(nil), plan...)) {
+		t.Error("equal plans hash differently")
+	}
+	mutated := append([]inject.Injection(nil), plan...)
+	mutated[0].Duration++
+	if inject.PlanHash(mutated) == inject.PlanHash(plan) {
+		t.Error("a changed injection left the hash unchanged")
+	}
+	if inject.PlanHash(plan[:len(plan)-1]) == inject.PlanHash(plan) {
+		t.Error("a shorter plan left the hash unchanged")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fit"
 	"repro/internal/fmea"
 	"repro/internal/iec61508"
+	"repro/internal/netlist"
 	"repro/internal/rtl"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -334,5 +335,38 @@ func TestRecordVCD(t *testing.T) {
 	}
 	if gs == fs {
 		t.Error("faulty waveform identical to golden despite injection")
+	}
+}
+
+// TestAdjustedToggle checks that nets feeding only diagnostic alarms
+// leave the toggle-eligible set, while untoggled functional nets still
+// count against coverage.
+func TestAdjustedToggle(t *testing.T) {
+	m := rtl.NewModule("adj")
+	a := m.Input("a", 1)
+	b := m.Input("b", 1)
+	y := m.And(a, b)
+	alarm := m.Xor(a, b)
+	m.Output("y", y)
+	m.Output("alarm", alarm)
+	an, err := zones.Extract(m.MustFinish(), zones.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := &Target{Analysis: an}
+	for _, tc := range []struct {
+		name     string
+		rep      ToggleReport
+		wantCov  float64
+		wantExcl int
+	}{
+		{"diagnostic-only untoggled", ToggleReport{Covered: 3, Eligible: 4, Untoggled: []netlist.NetID{alarm[0]}}, 1, 1},
+		{"functional untoggled", ToggleReport{Covered: 3, Eligible: 4, Untoggled: []netlist.NetID{y[0]}}, 0.75, 0},
+		{"nothing eligible", ToggleReport{Covered: 0, Eligible: 1, Untoggled: []netlist.NetID{alarm[0]}}, 1, 1},
+	} {
+		cov, excl := tg.AdjustedToggle(tc.rep)
+		if cov != tc.wantCov || excl != tc.wantExcl {
+			t.Errorf("%s: AdjustedToggle = %v, %d excluded; want %v, %d", tc.name, cov, excl, tc.wantCov, tc.wantExcl)
+		}
 	}
 }

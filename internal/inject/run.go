@@ -109,15 +109,6 @@ type Report struct {
 	Coverage    Coverage
 }
 
-// Degraded reports whether the campaign finished without a full
-// verdict on every planned experiment — some rows quarantined or
-// watchdog-aborted. A degraded campaign still validates, but its
-// measured fractions are conservative lower bounds and a
-// certification report must call the grade CONDITIONAL.
-func (r *Report) Degraded() bool {
-	return len(r.Quarantined) > 0 || r.AbortedCount() > 0
-}
-
 // AbortedCount is the number of watchdog-aborted experiments.
 func (r *Report) AbortedCount() int {
 	n := 0

@@ -41,9 +41,6 @@ func TestCycleBudgetWatchdog(t *testing.T) {
 	if got := ref.AbortedCount(); got != len(plan) {
 		t.Fatalf("AbortedCount = %d, want %d (budget shorter than every injection window)", got, len(plan))
 	}
-	if !ref.Degraded() {
-		t.Fatal("report with aborted experiments must be Degraded")
-	}
 	for _, workers := range []int{1, 2, 8} {
 		tgt.Workers = workers
 		rep, err := tgt.Run(g, plan)
@@ -332,9 +329,6 @@ func TestPanicQuarantine(t *testing.T) {
 		}
 		if len(rep.Results) != len(plan)-2 {
 			t.Fatalf("workers=%d: campaign kept %d results, want %d", workers, len(rep.Results), len(plan)-2)
-		}
-		if !rep.Degraded() {
-			t.Fatalf("workers=%d: report with quarantined rows must be Degraded", workers)
 		}
 	}
 }

@@ -80,9 +80,6 @@ type Array struct {
 	sWData uint64
 	sWE    bool
 	sRE    bool
-
-	// statistics
-	reads, writes int64
 }
 
 // NewArray creates the array and wires it to the given nets.
@@ -98,24 +95,6 @@ func NewArray(addrWidth, wordWidth int, addr, wdata []netlist.NetID, we, re netl
 	}
 }
 
-// Words returns the number of words.
-func (a *Array) Words() int { return len(a.words) }
-
-// Bits returns the array capacity in bits.
-func (a *Array) Bits() int { return len(a.words) * a.wordWidth }
-
-// Peek reads a word directly (test/scoreboard access, no fault effects
-// beyond what is already stored).
-func (a *Array) Peek(addr uint64) uint64 { return a.words[addr&uint64(len(a.words)-1)] }
-
-// Poke writes a word directly.
-func (a *Array) Poke(addr, val uint64) {
-	a.words[addr&uint64(len(a.words)-1)] = val & a.mask()
-}
-
-// Stats returns the number of read and write accesses performed.
-func (a *Array) Stats() (reads, writes int64) { return a.reads, a.writes }
-
 func (a *Array) mask() uint64 {
 	if a.wordWidth >= 64 {
 		return ^uint64(0)
@@ -124,7 +103,7 @@ func (a *Array) mask() uint64 {
 }
 
 // Inject arms a fault. SoftError takes effect immediately (the upset
-// happens now); persistent models stay armed until ClearFaults.
+// happens now); persistent models stay armed for the array's lifetime.
 func (a *Array) Inject(f ArrayFault) error {
 	switch f.Kind {
 	case SoftError:
@@ -146,9 +125,6 @@ func (a *Array) Inject(f ArrayFault) error {
 	a.applyCellSA()
 	return nil
 }
-
-// ClearFaults disarms all persistent faults (stored corruption remains).
-func (a *Array) ClearFaults() { a.faults = nil }
 
 // applyCellSA forces stuck cells to their stuck value in storage.
 func (a *Array) applyCellSA() {
@@ -201,7 +177,6 @@ func (a *Array) Sample(get func(netlist.NetID) sim.Value) {
 // drives the read port for the next cycle.
 func (a *Array) Commit(set func(netlist.NetID, sim.Value)) {
 	if a.sWE {
-		a.writes++
 		eff, drop := a.effAddr(a.sAddr)
 		if !drop {
 			a.words[eff] = a.sWData & a.mask()
@@ -221,7 +196,6 @@ func (a *Array) Commit(set func(netlist.NetID, sim.Value)) {
 		}
 	}
 	if a.sRE {
-		a.reads++
 		eff, drop := a.effAddr(a.sAddr)
 		var v uint64
 		if !drop {
@@ -233,21 +207,8 @@ func (a *Array) Commit(set func(netlist.NetID, sim.Value)) {
 	}
 }
 
-// SnapshotWords copies the storage contents (golden-state capture for
-// injection campaigns).
-func (a *Array) SnapshotWords() []uint64 {
-	out := make([]uint64, len(a.words))
-	copy(out, a.words)
-	return out
-}
-
-// RestoreWords reinstates captured storage contents.
-func (a *Array) RestoreWords(w []uint64) {
-	copy(a.words, w)
-}
-
 // arrayState is the sim.Peripheral snapshot payload of an Array: the
-// storage words, the sampled port registers and the access statistics.
+// storage words and the sampled port registers.
 // Armed faults are configuration, not state, and are not captured (a
 // restored instance keeps its own armed fault models, matching the
 // simulator's treatment of net/pin forces).
@@ -255,7 +216,6 @@ type arrayState struct {
 	words         []uint64
 	sAddr, sWData uint64
 	sWE, sRE      bool
-	reads, writes int64
 }
 
 // SnapshotState implements sim.Peripheral: it returns a self-contained
@@ -264,7 +224,6 @@ func (a *Array) SnapshotState() any {
 	st := &arrayState{
 		words: make([]uint64, len(a.words)),
 		sAddr: a.sAddr, sWData: a.sWData, sWE: a.sWE, sRE: a.sRE,
-		reads: a.reads, writes: a.writes,
 	}
 	copy(st.words, a.words)
 	return st
@@ -280,7 +239,6 @@ func (a *Array) RestoreState(state any) {
 	}
 	copy(a.words, st.words)
 	a.sAddr, a.sWData, a.sWE, a.sRE = st.sAddr, st.sWData, st.sWE, st.sRE
-	a.reads, a.writes = st.reads, st.writes
 }
 
 func busValue(get func(netlist.NetID) sim.Value, nets []netlist.NetID) uint64 {

@@ -79,16 +79,12 @@ func (d *Design) ValidationWorkload(words int, seed uint64) *workload.Trace {
 	return tr
 }
 
-// InjectionTarget wires the design into the fault-injection environment:
-// each instance is a fresh simulator with a fresh memory array attached.
-func (d *Design) InjectionTarget(a *zones.Analysis) *inject.Target {
-	return d.InjectionTargetSeeded(a, nil)
-}
-
-// InjectionTargetSeeded is InjectionTarget with array faults pre-armed
-// in every instance (golden and faulty alike) — the workload-coverage
-// runs seed known cell defects so the whole detection/correction
-// datapath is exercised by the fault-free reference too.
+// InjectionTargetSeeded wires the design into the fault-injection
+// environment: each instance is a fresh simulator with a fresh memory
+// array attached, with array faults pre-armed in every instance (golden
+// and faulty alike). The workload-coverage runs seed known cell defects
+// so the whole detection/correction datapath is exercised by the
+// fault-free reference too; nil seeds arm none.
 func (d *Design) InjectionTargetSeeded(a *zones.Analysis, seeds []ArrayFault) *inject.Target {
 	return &inject.Target{
 		Analysis: a,

@@ -19,7 +19,7 @@ func runCampaign(t *testing.T, cfg Config) (*inject.Report, float64, *Design) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := d.InjectionTarget(a)
+	target := d.InjectionTargetSeeded(a, nil)
 	tr := d.ValidationWorkload(4, 11)
 	g, err := target.RunGolden(tr)
 	if err != nil {
@@ -122,7 +122,7 @@ func TestWorksheetValidationAgainstInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := d.InjectionTarget(a)
+	target := d.InjectionTargetSeeded(a, nil)
 	tr := d.ValidationWorkload(4, 17)
 	g, err := target.RunGolden(tr)
 	if err != nil {

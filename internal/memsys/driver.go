@@ -73,23 +73,9 @@ func (s *Session) step() {
 	}
 }
 
-// Idle runs n idle cycles (letting the scrubber work).
-func (s *Session) Idle(n int) {
-	s.idleInputs()
-	s.Sim.Eval()
-	for i := 0; i < n; i++ {
-		s.step()
-	}
-}
-
-// Do performs one memory operation with privileged attribute and returns
-// the observed result. Reads report the decoded data returned when ack
-// rose within the operation window.
-func (s *Session) Do(op workload.MemOp) AccessResult {
-	return s.DoPriv(op, true)
-}
-
-// DoPriv performs one operation with an explicit privilege attribute.
+// DoPriv performs one memory operation with the given privilege
+// attribute and returns the observed result. Reads report the decoded
+// data returned when ack rose within the operation window.
 func (s *Session) DoPriv(op workload.MemOp, privileged bool) AccessResult {
 	res := AccessResult{Op: op, Alarms: map[string]bool{}}
 	priv := uint64(0)
@@ -129,38 +115,4 @@ func (s *Session) DoPriv(op workload.MemOp, privileged bool) AccessResult {
 		}
 	}
 	return res
-}
-
-// Run performs a whole operation sequence and returns per-op results.
-func (s *Session) Run(ops []workload.MemOp) []AccessResult {
-	out := make([]AccessResult, len(ops))
-	for i, op := range ops {
-		out[i] = s.Do(op)
-	}
-	return out
-}
-
-// RefModel is the behavioral golden model of the sub-system's functional
-// contract: writes store, reads return the last written word (zero for
-// never-written addresses).
-type RefModel struct {
-	mem  map[uint64]uint64
-	mask uint64
-}
-
-// NewRefModel creates a reference for the given data width.
-func NewRefModel(dataWidth int) *RefModel {
-	return &RefModel{mem: map[uint64]uint64{}, mask: 1<<uint(dataWidth) - 1}
-}
-
-// Apply processes one op and returns the expected read data (reads).
-func (r *RefModel) Apply(op workload.MemOp) (data uint64, isRead bool) {
-	switch op.Kind {
-	case workload.OpWrite:
-		r.mem[op.Addr] = op.Data & r.mask
-		return 0, false
-	case workload.OpRead:
-		return r.mem[op.Addr], true
-	}
-	return 0, false
 }

@@ -76,9 +76,17 @@ type Design struct {
 // WordWidth is the stored word width (data + check bits).
 func (d *Design) WordWidth() int { return d.Codec.WordWidth() }
 
+// maxSimAddrWidth bounds the address width NewSimulator accepts: the
+// behavioral array it attaches holds 2^AddrWidth words. Building,
+// zoning and grading a design allocate no array and take any width.
+const maxSimAddrWidth = 16
+
 // NewSimulator attaches a fresh memory array and returns a simulator
 // ready to run (reset applied, inputs still undriven).
 func (d *Design) NewSimulator() (*sim.Simulator, *Array, error) {
+	if d.Cfg.AddrWidth > maxSimAddrWidth {
+		return nil, nil, fmt.Errorf("memsys: address width %d exceeds the simulated array's limit of %d bits", d.Cfg.AddrWidth, maxSimAddrWidth)
+	}
 	s, err := sim.New(d.N)
 	if err != nil {
 		return nil, nil, err

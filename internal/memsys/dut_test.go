@@ -107,7 +107,7 @@ func TestBISTCatchesStuckCell(t *testing.T) {
 func TestFunctionalAgainstReference(t *testing.T) {
 	for _, cfg := range []Config{smallV1(), smallV2()} {
 		sess := newSession(t, cfg)
-		ref := NewRefModel(cfg.DataWidth)
+		ref := newRefModel(cfg.DataWidth)
 		rng := xrand.New(2024)
 		// Initialize first: with address folding, reading a never-written
 		// word correctly flags an error (check bits don't match), so the
@@ -119,7 +119,7 @@ func TestFunctionalAgainstReference(t *testing.T) {
 		// Stay out of the privileged page (addresses 28..31).
 		ops = append(ops, workload.RandomOps(rng, 120, 28, cfg.DataWidth, 0.5)...)
 		for _, op := range ops {
-			want, isRead := ref.Apply(op)
+			want, isRead := ref.apply(op)
 			got := sess.Do(op)
 			if isRead {
 				if !got.Acked {
@@ -201,8 +201,11 @@ func TestScrubberRepairsMemory(t *testing.T) {
 	if sess.Arr.Peek(2) == golden {
 		t.Fatal("SEU had no effect")
 	}
-	// Scrub pointer must sweep all 32 words; each word takes 4 cycles.
-	sess.Idle(4 * 40)
+	// Scrub pointer must sweep all 32 words; each word takes 4 cycles,
+	// one idle op's OpGap+1.
+	for i := 0; i < 40; i++ {
+		sess.Do(workload.MemOp{Kind: workload.OpIdle})
+	}
 	if sess.Arr.Peek(2) != golden {
 		t.Errorf("scrubber did not repair: %#x vs %#x", sess.Arr.Peek(2), golden)
 	}
@@ -237,35 +240,19 @@ func TestAddressingFaultV2DetectedV1Silent(t *testing.T) {
 	}
 }
 
-func TestSessionRunBatch(t *testing.T) {
-	sess := newSession(t, smallV2())
-	ops := []workload.MemOp{
-		{Kind: workload.OpWrite, Addr: 1, Data: 0x11},
-		{Kind: workload.OpIdle},
-		{Kind: workload.OpRead, Addr: 1},
-	}
-	rs := sess.Run(ops)
-	if len(rs) != 3 {
-		t.Fatal("Run result count")
-	}
-	if !rs[2].Acked || rs[2].Data != 0x11 {
-		t.Errorf("batch read = %+v", rs[2])
-	}
-}
-
 func TestVariantBEquivalentFunction(t *testing.T) {
 	cfg := smallV2()
 	cfg.Variant = HsiaoB
 	cfg.Name = "memsub-v2b"
 	sess := newSession(t, cfg)
-	ref := NewRefModel(cfg.DataWidth)
+	ref := newRefModel(cfg.DataWidth)
 	var ops []workload.MemOp
 	for a := 0; a < 28; a++ {
 		ops = append(ops, workload.MemOp{Kind: workload.OpWrite, Addr: uint64(a), Data: 0})
 	}
 	ops = append(ops, workload.RandomOps(xrand.New(5), 60, 28, cfg.DataWidth, 0.5)...)
 	for _, op := range ops {
-		want, isRead := ref.Apply(op)
+		want, isRead := ref.apply(op)
 		got := sess.Do(op)
 		if isRead && got.Data != want {
 			t.Fatalf("variant B read @%d = %#x, want %#x", op.Addr, got.Data, want)
@@ -278,4 +265,29 @@ func TestVariantBEquivalentFunction(t *testing.T) {
 	if res.Data != 0xF0F0 || !res.Alarms["alarm_corr"] {
 		t.Errorf("variant B correction failed: %+v", res)
 	}
+}
+
+// refModel is the behavioral golden model of the sub-system's functional
+// contract: writes store, reads return the last written word (zero for
+// never-written addresses).
+type refModel struct {
+	mem  map[uint64]uint64
+	mask uint64
+}
+
+// newRefModel creates a reference for the given data width.
+func newRefModel(dataWidth int) *refModel {
+	return &refModel{mem: map[uint64]uint64{}, mask: 1<<uint(dataWidth) - 1}
+}
+
+// apply processes one op and returns the expected read data (reads).
+func (r *refModel) apply(op workload.MemOp) (data uint64, isRead bool) {
+	switch op.Kind {
+	case workload.OpWrite:
+		r.mem[op.Addr] = op.Data & r.mask
+		return 0, false
+	case workload.OpRead:
+		return r.mem[op.Addr], true
+	}
+	return 0, false
 }

@@ -197,7 +197,7 @@ func TestValidationWorkloadTriggersZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := d.InjectionTarget(a)
+	target := d.InjectionTargetSeeded(a, nil)
 	tr := d.ValidationWorkload(8, 1)
 	g, err := target.RunGolden(tr)
 	if err != nil {

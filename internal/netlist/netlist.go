@@ -319,12 +319,6 @@ func (n *Netlist) AddExternal(name string, width int) []NetID {
 	return nets
 }
 
-// IsExternal reports whether the net is driven by a peripheral.
-func (n *Netlist) IsExternal(id NetID) bool {
-	ref, ok := n.driver[id]
-	return ok && ref.kind == driverExternal
-}
-
 // IsDriven reports whether anything drives the net (gate, FF, primary
 // input, constant or peripheral). Nets orphaned by dead-logic pruning
 // are undriven and unread.
@@ -363,12 +357,6 @@ func (n *Netlist) DriverFF(id NetID) (*FF, bool) {
 		return &n.FFs[ref.index], true
 	}
 	return nil, false
-}
-
-// IsPrimaryInput reports whether the net is driven by a primary input.
-func (n *Netlist) IsPrimaryInput(id NetID) bool {
-	ref, ok := n.driver[id]
-	return ok && ref.kind == driverInput
 }
 
 // Stats summarizes netlist composition.

@@ -79,9 +79,6 @@ func TestDrivers(t *testing.T) {
 	g := n.AddGate(NOT, "", a)
 	_, q := n.AddFF("r[0]", "", g, InvalidNet, false)
 
-	if !n.IsPrimaryInput(a) {
-		t.Error("a not recognized as primary input")
-	}
 	if gt, ok := n.DriverGate(g); !ok || gt.Type != NOT {
 		t.Error("DriverGate failed for NOT output")
 	}
@@ -361,5 +358,74 @@ func TestValidateKept(t *testing.T) {
 	kept[0] = InvalidNet
 	if k := n.Kept(); len(k) != 1 || k[0] != s {
 		t.Fatalf("Kept() returned the internal slice")
+	}
+}
+
+// TestGateAndFFReaders checks the forward adjacency: a gate appears once
+// per input pin that reads a net, and a flip-flop under both its D and
+// its Enable net.
+func TestGateAndFFReaders(t *testing.T) {
+	n := New("t")
+	a := n.AddInput("a", 1)[0]
+	b := n.AddInput("b", 1)[0]
+	x := n.AddGate(AND, "", a, a)
+	y := n.AddGate(OR, "", a, b)
+	ff, _ := n.AddFF("r", "", x, y, false)
+	gx, _ := n.DriverGate(x)
+	gy, _ := n.DriverGate(y)
+
+	gr := n.GateReaders()
+	if len(gr) != len(n.Nets) {
+		t.Fatalf("GateReaders covers %d nets, want %d", len(gr), len(n.Nets))
+	}
+	if want := []GateID{gx.ID, gx.ID, gy.ID}; len(gr[a]) != 3 || gr[a][0] != want[0] || gr[a][1] != want[1] || gr[a][2] != want[2] {
+		t.Errorf("readers of a = %v, want %v", gr[a], want)
+	}
+	if len(gr[b]) != 1 || gr[b][0] != gy.ID {
+		t.Errorf("readers of b = %v, want [%d]", gr[b], gy.ID)
+	}
+	if len(gr[x]) != 0 {
+		t.Errorf("x is read by no gate, got %v", gr[x])
+	}
+
+	fr := n.FFReaders()
+	if len(fr[x]) != 1 || fr[x][0] != ff || len(fr[y]) != 1 || fr[y][0] != ff {
+		t.Errorf("FF readers: x %v, y %v, want [%d] each", fr[x], fr[y], ff)
+	}
+	if len(fr[a]) != 0 {
+		t.Errorf("a is sampled by no FF, got %v", fr[a])
+	}
+}
+
+// TestAddExternal checks a peripheral-driven port: one net per bit,
+// bit-indexed names on a bus, driven for validation, yet no gate or FF
+// driver.
+func TestAddExternal(t *testing.T) {
+	n := New("t")
+	bus := n.AddExternal("rdata", 3)
+	one := n.AddExternal("ready", 1)
+	if len(bus) != 3 || len(n.Externals) != 2 || n.Externals[0].Name != "rdata" {
+		t.Fatalf("externals = %+v", n.Externals)
+	}
+	if got := n.NetName(bus[2]); got != "rdata[2]" {
+		t.Errorf("bus bit name = %q, want rdata[2]", got)
+	}
+	if got := n.NetName(one[0]); got != "ready" {
+		t.Errorf("single-bit name = %q, want ready", got)
+	}
+	for _, id := range append(bus, one...) {
+		if !n.IsDriven(id) {
+			t.Errorf("external net %s not driven", n.NetName(id))
+		}
+		if _, ok := n.DriverGate(id); ok {
+			t.Errorf("external net %s has a gate driver", n.NetName(id))
+		}
+		if _, ok := n.DriverFF(id); ok {
+			t.Errorf("external net %s has an FF driver", n.NetName(id))
+		}
+	}
+	n.AddOutput("o", []NetID{n.AddGate(AND, "", bus[0], one[0])})
+	if err := n.Validate(); err != nil {
+		t.Errorf("netlist reading externals must validate: %v", err)
 	}
 }

@@ -189,40 +189,26 @@ func (m *Module) fold(t netlist.GateType, ins []netlist.NetID) (netlist.NetID, b
 	case netlist.NOT:
 		v, _ := m.N.IsConst(ins[0])
 		return m.N.ConstNet(!v), true
-	case netlist.AND, netlist.NAND, netlist.OR, netlist.NOR:
+	case netlist.AND, netlist.OR:
 		// Controlling / identity values.
-		controlling := t == netlist.OR || t == netlist.NOR // const1 controls OR
-		inverted := t == netlist.NAND || t == netlist.NOR
+		controlling := t == netlist.OR // const1 controls OR
 		var kept []netlist.NetID
 		for _, in := range ins {
 			if v, ok := m.N.IsConst(in); ok {
 				if v == controlling {
-					return m.N.ConstNet(controlling != inverted), true
+					return m.N.ConstNet(controlling), true
 				}
 				continue // identity input dropped
 			}
 			kept = append(kept, in)
 		}
-		var out netlist.NetID
 		switch len(kept) {
 		case 0:
-			return m.N.ConstNet(!controlling != inverted), true
+			return m.N.ConstNet(!controlling), true
 		case 1:
-			out = kept[0]
-			if inverted {
-				out = m.gate(netlist.NOT, out)
-			}
-			return out, true
+			return kept[0], true
 		default:
-			base := netlist.AND
-			if t == netlist.OR || t == netlist.NOR {
-				base = netlist.OR
-			}
-			out = m.N.AddGate(base, m.Block(), kept...)
-			if inverted {
-				out = m.gate(netlist.NOT, out)
-			}
-			return out, true
+			return m.N.AddGate(t, m.Block(), kept...), true
 		}
 	case netlist.XOR, netlist.XNOR:
 		invert := t == netlist.XNOR
@@ -285,7 +271,7 @@ func (m *Module) fold(t netlist.GateType, ins []netlist.NetID) (netlist.NetID, b
 // NotBit returns the complement of a single net.
 func (m *Module) NotBit(a netlist.NetID) netlist.NetID { return m.gate(netlist.NOT, a) }
 
-// AndBit/OrBit/XorBit/NandBit/NorBit/XnorBit combine single nets.
+// AndBit/OrBit/XorBit combine single nets.
 func (m *Module) AndBit(ins ...netlist.NetID) netlist.NetID {
 	if len(ins) == 1 {
 		return m.gate(netlist.BUF, ins[0])
@@ -304,9 +290,6 @@ func (m *Module) XorBit(ins ...netlist.NetID) netlist.NetID {
 	}
 	return m.gate(netlist.XOR, ins...)
 }
-func (m *Module) NandBit(ins ...netlist.NetID) netlist.NetID { return m.gate(netlist.NAND, ins...) }
-func (m *Module) NorBit(ins ...netlist.NetID) netlist.NetID  { return m.gate(netlist.NOR, ins...) }
-func (m *Module) XnorBit(a, b netlist.NetID) netlist.NetID   { return m.gate(netlist.XNOR, a, b) }
 
 // MuxBit returns b when sel is 1, a when sel is 0.
 func (m *Module) MuxBit(sel, a, b netlist.NetID) netlist.NetID {
@@ -324,9 +307,8 @@ func binop(m *Module, t netlist.GateType, a, b Bus, opName string) Bus {
 	return out
 }
 
-// And, Or, Xor, Xnor are bitwise bus operations.
+// And, Xor, Xnor are bitwise bus operations.
 func (m *Module) And(a, b Bus) Bus  { return binop(m, netlist.AND, a, b, "And") }
-func (m *Module) Or(a, b Bus) Bus   { return binop(m, netlist.OR, a, b, "Or") }
 func (m *Module) Xor(a, b Bus) Bus  { return binop(m, netlist.XOR, a, b, "Xor") }
 func (m *Module) Xnor(a, b Bus) Bus { return binop(m, netlist.XNOR, a, b, "Xnor") }
 
@@ -347,15 +329,6 @@ func (m *Module) Mux(sel netlist.NetID, a, b Bus) Bus {
 	out := make(Bus, len(a))
 	for i := range a {
 		out[i] = m.MuxBit(sel, a[i], b[i])
-	}
-	return out
-}
-
-// MaskBit ANDs every bit of a with the single net en.
-func (m *Module) MaskBit(a Bus, en netlist.NetID) Bus {
-	out := make(Bus, len(a))
-	for i := range a {
-		out[i] = m.gate(netlist.AND, a[i], en)
 	}
 	return out
 }
@@ -392,9 +365,6 @@ func (m *Module) ReduceXor(a Bus) netlist.NetID { return m.reduce(netlist.XOR, a
 
 // Parity is the XOR reduction (even parity bit) of a bus.
 func (m *Module) Parity(a Bus) netlist.NetID { return m.ReduceXor(a) }
-
-// IsZero is high when every bit of a is 0.
-func (m *Module) IsZero(a Bus) netlist.NetID { return m.gate(netlist.NOT, m.ReduceOr(a)) }
 
 // --- comparison and arithmetic ---
 
@@ -488,26 +458,6 @@ func (m *Module) Decode(a Bus) Bus {
 	return out
 }
 
-// Encode converts a one-hot bus into a binary bus (undefined when the
-// input is not one-hot; OR of selected codes).
-func (m *Module) Encode(onehot Bus, width int) Bus {
-	out := make(Bus, width)
-	for bit := 0; bit < width; bit++ {
-		var terms Bus
-		for v := range onehot {
-			if v>>uint(bit)&1 == 1 {
-				terms = append(terms, onehot[v])
-			}
-		}
-		if len(terms) == 0 {
-			out[bit] = m.Low()
-		} else {
-			out[bit] = m.ReduceOr(terms)
-		}
-	}
-	return out
-}
-
 // --- bus plumbing ---
 
 // Concat concatenates buses, first argument lowest bits.
@@ -522,23 +472,6 @@ func Concat(buses ...Bus) Bus {
 // Slice returns bits [lo, hi) of a bus.
 func (b Bus) Slice(lo, hi int) Bus {
 	return b[lo:hi:hi]
-}
-
-// Repeat returns a bus of n copies of the net.
-func Repeat(id netlist.NetID, n int) Bus {
-	out := make(Bus, n)
-	for i := range out {
-		out[i] = id
-	}
-	return out
-}
-
-// Wire gives a name to a fresh net driven by a BUF from src; useful for
-// marking critical nets so the zone extractor can find them by name.
-func (m *Module) Wire(name string, src netlist.NetID) netlist.NetID {
-	out := m.N.AddNet(m.qualify(name))
-	m.N.AddGateTo(netlist.BUF, m.Block(), out, src)
-	return out
 }
 
 // Keep protects nets from dead-logic pruning (nets sampled by

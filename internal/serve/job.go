@@ -96,7 +96,7 @@ func (s *Submission) validate() error {
 		name      string
 		v, lo, hi int
 	}{
-		{"addr_width", s.AddrWidth, 2, 12},
+		{"addr_width", s.AddrWidth, 3, 12},
 		{"words", s.Words, 1, 256},
 		{"transient", s.Transient, 1, 64},
 		{"permanent", s.Permanent, 1, 64},

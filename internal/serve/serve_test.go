@@ -227,6 +227,7 @@ func TestSubmissionValidation(t *testing.T) {
 		`{"design":"v9"}`,                // unknown design
 		`{}`,                             // missing design
 		`{"design":"v2","addr_width":1}`, // out of range
+		`{"design":"v2","addr_width":2}`, // below memsys.Build's minimum
 		`{"design":"v2","hft":7}`,        // out of range
 		`{"design":"v2","tolerance":2}`,  // out of range
 		`{"design":"v2","bogus":1}`,      // unknown field

@@ -103,9 +103,6 @@ type Program struct {
 	ffEn     []int32 // -1 = always enabled
 }
 
-// Netlist returns the netlist the program was compiled from.
-func (p *Program) Netlist() *netlist.Netlist { return p.n }
-
 // Ops returns the instruction count (for diagnostics and tests).
 func (p *Program) Ops() int { return len(p.ops) }
 

@@ -430,12 +430,6 @@ func (a *Analysis) ConstNet(net netlist.NetID) (v bool, ok bool) {
 	return false, false
 }
 
-// Monitored reports whether a monitor (observation point, SENS group,
-// peripheral or port) can see the net's value directly.
-func (a *Analysis) Monitored(net netlist.NetID) bool {
-	return net >= 0 && int(net) < len(a.monitored) && a.monitored[net]
-}
-
 // Netlist returns the analyzed netlist.
 func (a *Analysis) Netlist() *netlist.Netlist { return a.n }
 

@@ -139,7 +139,7 @@ func TestCollapseRespectsMonitors(t *testing.T) {
 	if sf.Canon(x, false) == sf.Canon(y, true) {
 		t.Error("an observed stem must not collapse onto its reader's output")
 	}
-	if !sf.Monitored(x) {
+	if !sf.monitored[x] {
 		t.Error("x is an observation point and must be monitored")
 	}
 }

@@ -88,16 +88,6 @@ func (j *Journal) Close() error {
 	return j.err
 }
 
-// Err returns the first write error encountered (nil while healthy).
-func (j *Journal) Err() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Enc appends fields to the journal line under construction. All
 // methods are only valid inside an Emit callback.
 type Enc struct{ b []byte }

@@ -14,7 +14,6 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -198,22 +197,4 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		s.Histograms[name] = HistogramSnapshot{Count: h.Count(), Sum: h.Sum(), Buckets: b}
 	}
 	return s
-}
-
-// Names lists every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for n := range r.counters { //det:order collecting before sort
-		names = append(names, n)
-	}
-	for n := range r.gauges { //det:order collecting before sort
-		names = append(names, n)
-	}
-	for n := range r.histograms { //det:order collecting before sort
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

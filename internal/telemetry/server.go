@@ -45,7 +45,7 @@ func DefaultLoopback(addr string) string {
 // exposes process internals, so ServeStatus binds loopback unless the
 // operator explicitly names a concrete interface — "", ":8080",
 // "0.0.0.0:8080" and "[::]:8080" all become loopback (see
-// DefaultLoopback). ServeStatusExposed is the explicit opt-out.
+// DefaultLoopback).
 type StatusServer struct {
 	// Addr is the bound address (useful with a ":0" listener).
 	Addr string
@@ -56,19 +56,7 @@ type StatusServer struct {
 // once the listener is bound (the HTTP loop runs in a goroutine).
 // Empty and wildcard-host addresses bind loopback.
 func ServeStatus(addr string, c *Campaign) (*StatusServer, error) {
-	return serveStatus(DefaultLoopback(addr), c)
-}
-
-// ServeStatusExposed binds exactly the address given — wildcard hosts
-// included. This is the operator's explicit opt-in to exposing the
-// unauthenticated campaign endpoints and pprof beyond loopback; put a
-// fronting proxy or network policy in between on shared hosts.
-func ServeStatusExposed(addr string, c *Campaign) (*StatusServer, error) {
-	return serveStatus(addr, c)
-}
-
-func serveStatus(addr string, c *Campaign) (*StatusServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", DefaultLoopback(addr))
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: status server: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -102,22 +101,6 @@ func TestServeStatusSequentialLifecycles(t *testing.T) {
 	check(t, s3, 2)
 }
 
-// TestServeStatusExposed binds exactly the given address — the explicit
-// opt-in keeps wildcard hosts wildcard.
-func TestServeStatusExposed(t *testing.T) {
-	s, err := ServeStatusExposed(":0", NewCampaign(nil, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if strings.HasPrefix(s.Addr, "127.0.0.1:") {
-		t.Fatalf("addr %q: ServeStatusExposed must not rewrite to loopback", s.Addr)
-	}
-}
-
-// TestSnapshotSanitize: the /progress payload is a product contract —
-// every derived float must be finite or encoding/json refuses the whole
-// snapshot.
 func TestSnapshotSanitize(t *testing.T) {
 	s := Snapshot{
 		ElapsedSec:  math.Inf(1),

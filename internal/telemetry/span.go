@@ -68,14 +68,6 @@ func NewTracer(j *Journal, proc string, trace uint64) *Tracer {
 	return t
 }
 
-// Trace returns the current trace id.
-func (t *Tracer) Trace() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.trace.Load()
-}
-
 // TraceHex returns the trace id as the 16-digit hex string used on the
 // dist wire ("" on a nil tracer).
 func (t *Tracer) TraceHex() string {
@@ -160,14 +152,6 @@ func (t *Tracer) start(name string, parent, rparent uint64, intKey string, intVa
 	return Span{t: t, id: id}
 }
 
-// Start opens a span under parent (pass the zero Span for a root).
-func (t *Tracer) Start(name string, parent Span) Span {
-	if t == nil {
-		return Span{}
-	}
-	return t.start(name, parent.in(t), 0, "", 0, nil)
-}
-
 // StartAttrs opens a span with extra attributes (cold paths: the attrs
 // closure allocates).
 func (t *Tracer) StartAttrs(name string, parent Span, attrs func(*Enc)) Span {
@@ -178,7 +162,7 @@ func (t *Tracer) StartAttrs(name string, parent Span, attrs func(*Enc)) Span {
 }
 
 // end is the single close path; outcome "" is omitted.
-func (s Span) end(outcome string, attrs func(*Enc)) {
+func (s Span) end(outcome string) {
 	if s.t == nil || s.t.j == nil || s.id == 0 {
 		return
 	}
@@ -187,22 +171,16 @@ func (s Span) end(outcome string, attrs func(*Enc)) {
 	if outcome != "" {
 		e.Str("outcome", outcome)
 	}
-	if attrs != nil {
-		s.t.j.guard(e, attrs)
-	}
 	s.t.j.end(e)
 }
 
 // End closes the span. Closing the zero Span is a no-op; closing a
 // span twice writes two span_end events and is a caller bug that
 // tools/checkjournal flags.
-func (s Span) End() { s.end("", nil) }
+func (s Span) End() { s.end("") }
 
 // EndOutcome closes the span with an outcome label (allocation-free).
-func (s Span) EndOutcome(outcome string) { s.end(outcome, nil) }
-
-// EndAttrs closes the span with extra attributes (cold paths).
-func (s Span) EndAttrs(attrs func(*Enc)) { s.end("", attrs) }
+func (s Span) EndOutcome(outcome string) { s.end(outcome) }
 
 // ---- Campaign integration -------------------------------------------------
 //

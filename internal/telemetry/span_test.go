@@ -18,7 +18,7 @@ func TestSpanJournalStream(t *testing.T) {
 	child := tr.StartAttrs("lease", root, func(e *Enc) { e.Int("lo", 0); e.Int("hi", 32) })
 	remote := tr.start("worker-lease", 0, 7, "lease", 3, nil)
 	remote.EndOutcome("done")
-	child.EndAttrs(func(e *Enc) { e.Int("rows", 32) })
+	child.End()
 	root.End()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestSpanJournalStream(t *testing.T) {
 		`{"seq":2,"ev":"span_start","trace":"000000000000abcd","span":2,"parent":1,"name":"lease","proc":"w1","lo":0,"hi":32}`,
 		`{"seq":3,"ev":"span_start","trace":"000000000000abcd","span":3,"rparent":7,"name":"worker-lease","proc":"w1","lease":3}`,
 		`{"seq":4,"ev":"span_end","span":3,"outcome":"done"}`,
-		`{"seq":5,"ev":"span_end","span":2,"rows":32}`,
+		`{"seq":5,"ev":"span_end","span":2}`,
 		`{"seq":6,"ev":"span_end","span":1}`,
 	}, "\n") + "\n"
 	if sb.String() != want {
@@ -46,9 +46,8 @@ func TestSpanNilSafe(t *testing.T) {
 	}
 	sp.End()
 	sp.EndOutcome("done")
-	sp.EndAttrs(func(e *Enc) { e.Int("n", 1) })
 	tr.Adopt("0000000000000001")
-	if tr.Trace() != 0 || tr.TraceHex() != "" {
+	if tr.TraceHex() != "" {
 		t.Fatal("nil tracer leaked a trace id")
 	}
 	var c *Campaign
@@ -89,12 +88,12 @@ func TestTraceHexAdopt(t *testing.T) {
 		t.Fatalf("TraceHex = %q, want 16 digits", hex)
 	}
 	b.Adopt(hex)
-	if b.Trace() != a.Trace() {
-		t.Fatalf("adopt: %x != %x", b.Trace(), a.Trace())
+	if b.TraceHex() != hex {
+		t.Fatalf("adopt: %s != %s", b.TraceHex(), hex)
 	}
 	b.Adopt("not-hex")
 	b.Adopt("")
-	if b.Trace() != a.Trace() {
+	if b.TraceHex() != hex {
 		t.Fatal("malformed adopt must not clobber the trace")
 	}
 }

@@ -80,10 +80,6 @@ func TestRegistrySnapshotStable(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("snapshots differ:\n%s\n%s", a, b)
 	}
-	wantNames := []string{"alpha", "g_alpha", "g_mid", "g_zeta", "h", "mid", "zeta"}
-	if got := r.Names(); !reflect.DeepEqual(got, wantNames) {
-		t.Fatalf("names = %v, want %v", got, wantNames)
-	}
 }
 
 // TestCampaignNilSafe calls every hook on a nil campaign; the layer
@@ -291,4 +287,72 @@ func ExampleSnapshot_Line() {
 	s := Snapshot{Done: 5, Total: 10, Workers: 2, InFlight: 2, ETASec: -1}
 	fmt.Println(s.Line())
 	// Output: progress: 5/10 exp (50.0%) | workers 2/2 busy | retries 0 quarantined 0 ckpts 0
+}
+
+// TestCampaignCollapseCounters checks the static pre-pass hooks: a
+// collapsed plan advances experiment progress by its pruned rows and
+// each inherited outcome, while a collapsed fault-simulation campaign
+// counts its inheritances without touching experiment progress.
+func TestCampaignCollapseCounters(t *testing.T) {
+	c := NewCampaign(nil, nil)
+	c.PlanBuilt(10, 1, 0)
+	c.CollapsePlan(3, 2)
+	c.OutcomeInherited()
+	c.OutcomeInherited()
+	if got := c.Snapshot().Done; got != 5 {
+		t.Errorf("done after 3 pruned + 2 inherited = %d, want 5", got)
+	}
+	c.CollapseFaults(4, 6)
+	if got := c.Snapshot().Done; got != 5 {
+		t.Errorf("CollapseFaults moved experiment progress to %d", got)
+	}
+	counters := c.Registry.Snapshot().Counters
+	for name, want := range map[string]int64{"faults_static_pruned": 7, "faults_collapsed": 8, "outcomes_inherited": 8} {
+		if counters[name] != want {
+			t.Errorf("%s = %d, want %d", name, counters[name], want)
+		}
+	}
+	var nilc *Campaign
+	nilc.CollapsePlan(1, 1)
+	nilc.OutcomeInherited()
+	nilc.CollapseFaults(1, 1)
+}
+
+// TestCampaignDistCounters checks the distributed-scheduling hooks that
+// back the lease, retry, quarantine, worker and range metrics.
+func TestCampaignDistCounters(t *testing.T) {
+	c := NewCampaign(nil, nil)
+	c.LeaseIssued()
+	c.LeaseIssued()
+	c.LeaseExpired()
+	c.WorkerRetry()
+	c.RangeQuarantined()
+	c.WorkerJoined()
+	c.WorkerJoined()
+	c.WorkerLeft()
+	c.RangeDone(16, 250*time.Millisecond)
+	c.RangeDone(4, 1500*time.Millisecond)
+	snap := c.Registry.Snapshot()
+	for name, want := range map[string]int64{"leases_issued": 2, "leases_expired": 1, "worker_retries": 1, "ranges_quarantined": 1} {
+		if snap.Counters[name] != want {
+			t.Errorf("%s = %d, want %d", name, snap.Counters[name], want)
+		}
+	}
+	if got := snap.Gauges["workers_active"]; got != 1 {
+		t.Errorf("workers_active = %d, want 1", got)
+	}
+	if h := snap.Histograms["range_rows"]; h.Count != 2 || h.Sum != 20 {
+		t.Errorf("range_rows = %+v, want count 2 sum 20", h)
+	}
+	if h := snap.Histograms["range_duration_ms"]; h.Count != 2 || h.Sum != 1750 {
+		t.Errorf("range_duration_ms = %+v, want count 2 sum 1750", h)
+	}
+	var nilc *Campaign
+	nilc.LeaseIssued()
+	nilc.LeaseExpired()
+	nilc.WorkerRetry()
+	nilc.RangeQuarantined()
+	nilc.WorkerJoined()
+	nilc.WorkerLeft()
+	nilc.RangeDone(1, time.Second)
 }

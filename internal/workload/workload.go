@@ -1,6 +1,6 @@
 // Package workload generates the stimuli the validation flow injects
-// faults under: memory test algorithms (March C-, March X, checkerboard,
-// walking ones), random traffic, and application-like access profiles.
+// faults under: the March X memory test, random traffic, and the port
+// traces that drive them.
 //
 // A workload is materialized as a Trace: per-cycle assignments to named
 // primary-input ports. The same trace drives both the three-valued
@@ -60,11 +60,6 @@ func (t *Trace) AddIdle(n int) {
 	for i := 0; i < n; i++ {
 		t.Add(nil)
 	}
-}
-
-// Value returns the value of a port at a cycle.
-func (t *Trace) Value(cycle int, port string) uint64 {
-	return t.Vecs[cycle][t.index[port]]
 }
 
 // ApplyTo drives the simulator's primary inputs with the vector of one
@@ -136,55 +131,6 @@ type MemOp struct {
 	Data uint64
 }
 
-// MarchElementOrder is ascending or descending address order.
-type MarchElementOrder uint8
-
-// Address orders for March elements.
-const (
-	Up MarchElementOrder = iota
-	Down
-)
-
-// MarchCMinus generates the March C- algorithm over `words` addresses
-// with the given data background:
-//
-//	⇕(w0); ⇑(r0,w1); ⇑(r1,w0); ⇓(r0,w1); ⇓(r1,w0); ⇕(r0)
-//
-// Reads are emitted as OpRead (a checker compares data elsewhere);
-// "0" is the background pattern, "1" its complement.
-func MarchCMinus(words int, background uint64, dataWidth int) []MemOp {
-	mask := widthMask(dataWidth)
-	b0 := background & mask
-	b1 := ^background & mask
-	var ops []MemOp
-	forEach := func(order MarchElementOrder, f func(addr uint64)) {
-		if order == Up {
-			for a := 0; a < words; a++ {
-				f(uint64(a))
-			}
-		} else {
-			for a := words - 1; a >= 0; a-- {
-				f(uint64(a))
-			}
-		}
-	}
-	forEach(Up, func(a uint64) { ops = append(ops, MemOp{OpWrite, a, b0}) })
-	forEach(Up, func(a uint64) {
-		ops = append(ops, MemOp{OpRead, a, b0}, MemOp{OpWrite, a, b1})
-	})
-	forEach(Up, func(a uint64) {
-		ops = append(ops, MemOp{OpRead, a, b1}, MemOp{OpWrite, a, b0})
-	})
-	forEach(Down, func(a uint64) {
-		ops = append(ops, MemOp{OpRead, a, b0}, MemOp{OpWrite, a, b1})
-	})
-	forEach(Down, func(a uint64) {
-		ops = append(ops, MemOp{OpRead, a, b1}, MemOp{OpWrite, a, b0})
-	})
-	forEach(Down, func(a uint64) { ops = append(ops, MemOp{OpRead, a, b0}) })
-	return ops
-}
-
 // MarchX generates March X: ⇕(w0); ⇑(r0,w1); ⇓(r1,w0); ⇕(r0).
 func MarchX(words int, background uint64, dataWidth int) []MemOp {
 	mask := widthMask(dataWidth)
@@ -202,83 +148,6 @@ func MarchX(words int, background uint64, dataWidth int) []MemOp {
 	}
 	for a := 0; a < words; a++ {
 		ops = append(ops, MemOp{OpRead, uint64(a), b0})
-	}
-	return ops
-}
-
-// MarchSS generates the March SS algorithm (detects all simple static
-// faults including write-disturb and read-destructive ones):
-//
-//	⇕(w0); ⇑(r0,r0,w0,r0,w1); ⇑(r1,r1,w1,r1,w0);
-//	⇓(r0,r0,w0,r0,w1); ⇓(r1,r1,w1,r1,w0); ⇕(r0)
-func MarchSS(words int, background uint64, dataWidth int) []MemOp {
-	mask := widthMask(dataWidth)
-	b0 := background & mask
-	b1 := ^background & mask
-	var ops []MemOp
-	element := func(up bool, rd1, wr1, rd2, wr2 uint64) {
-		apply := func(a uint64) {
-			ops = append(ops,
-				MemOp{OpRead, a, rd1}, MemOp{OpRead, a, rd1},
-				MemOp{OpWrite, a, wr1},
-				MemOp{OpRead, a, rd2}, MemOp{OpWrite, a, wr2})
-		}
-		if up {
-			for a := 0; a < words; a++ {
-				apply(uint64(a))
-			}
-		} else {
-			for a := words - 1; a >= 0; a-- {
-				apply(uint64(a))
-			}
-		}
-	}
-	for a := 0; a < words; a++ {
-		ops = append(ops, MemOp{OpWrite, uint64(a), b0})
-	}
-	element(true, b0, b0, b0, b1)
-	element(true, b1, b1, b1, b0)
-	element(false, b0, b0, b0, b1)
-	element(false, b1, b1, b1, b0)
-	for a := 0; a < words; a++ {
-		ops = append(ops, MemOp{OpRead, uint64(a), b0})
-	}
-	return ops
-}
-
-// Checkerboard writes alternating patterns then reads them back.
-func Checkerboard(words int, dataWidth int) []MemOp {
-	mask := widthMask(dataWidth)
-	pat := uint64(0x5555555555555555) & mask
-	var ops []MemOp
-	for a := 0; a < words; a++ {
-		d := pat
-		if a%2 == 1 {
-			d = ^pat & mask
-		}
-		ops = append(ops, MemOp{OpWrite, uint64(a), d})
-	}
-	for a := 0; a < words; a++ {
-		d := pat
-		if a%2 == 1 {
-			d = ^pat & mask
-		}
-		ops = append(ops, MemOp{OpRead, uint64(a), d})
-	}
-	return ops
-}
-
-// WalkingOnes writes and reads a walking-1 pattern at each address.
-func WalkingOnes(words int, dataWidth int) []MemOp {
-	var ops []MemOp
-	for bit := 0; bit < dataWidth; bit++ {
-		d := uint64(1) << uint(bit)
-		for a := 0; a < words; a++ {
-			ops = append(ops, MemOp{OpWrite, uint64(a), d})
-		}
-		for a := 0; a < words; a++ {
-			ops = append(ops, MemOp{OpRead, uint64(a), d})
-		}
 	}
 	return ops
 }
@@ -303,50 +172,4 @@ func widthMask(w int) uint64 {
 		return ^uint64(0)
 	}
 	return 1<<uint(w) - 1
-}
-
-// MemPorts names the DUT ports a memory-op trace drives. Priv, when
-// non-empty, is driven with PrivValue on every access (MPU attribute).
-type MemPorts struct {
-	Req       string // request strobe, 1 bit
-	WE        string // write enable, 1 bit
-	Addr      string
-	WData     string
-	Priv      string
-	PrivValue uint64
-	// GapCycles idle cycles inserted after each operation (lets a
-	// pipelined DUT drain; 0 issues back-to-back).
-	GapCycles int
-}
-
-// OpsToTrace renders abstract memory operations into a port-level trace.
-func OpsToTrace(ops []MemOp, p MemPorts) *Trace {
-	ports := []string{p.Req, p.WE, p.Addr, p.WData}
-	if p.Priv != "" {
-		ports = append(ports, p.Priv)
-	}
-	t := NewTrace(ports...)
-	for _, op := range ops {
-		m := map[string]uint64{p.Req: 1, p.WE: 0, p.Addr: op.Addr, p.WData: op.Data}
-		switch op.Kind {
-		case OpWrite:
-			m[p.WE] = 1
-		case OpIdle:
-			m[p.Req] = 0
-		}
-		if p.Priv != "" {
-			m[p.Priv] = p.PrivValue
-		}
-		t.Add(m)
-		if p.GapCycles > 0 {
-			idle := map[string]uint64{p.Req: 0, p.WE: 0}
-			for i := 0; i < p.GapCycles; i++ {
-				t.Add(idle)
-			}
-		}
-	}
-	// Trailing idle so the last response drains.
-	t.Add(map[string]uint64{p.Req: 0, p.WE: 0})
-	t.Add(nil)
-	return t
 }

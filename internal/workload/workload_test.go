@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/netlist"
@@ -80,39 +81,9 @@ func TestRandomTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestMarchCMinusStructure(t *testing.T) {
-	words := 8
-	ops := MarchCMinus(words, 0, 8)
-	// w0*N + 4 elements of (r,w)*N + r0*N = N + 8N + N = 10N
-	if len(ops) != 10*words {
-		t.Fatalf("March C- length = %d, want %d", len(ops), 10*words)
-	}
-	// First element: all writes of background.
-	for i := 0; i < words; i++ {
-		if ops[i].Kind != OpWrite || ops[i].Data != 0 {
-			t.Fatalf("op %d = %+v, want write 0", i, ops[i])
-		}
-	}
-	// Second element starts with read at address 0.
-	if ops[words].Kind != OpRead || ops[words].Addr != 0 {
-		t.Errorf("element 2 start = %+v", ops[words])
-	}
-	// Fourth element (index 3N..5N) runs descending.
-	first := ops[5*words]
-	if first.Addr != uint64(words-1) {
-		t.Errorf("descending element starts at %d", first.Addr)
-	}
-	// Data background/complement masked to width.
-	for _, op := range ops {
-		if op.Data > 0xFF {
-			t.Fatalf("data exceeds width: %#x", op.Data)
-		}
-	}
-}
-
-// marchSimulate runs a March sequence against a behavioral memory with an
-// injected fault and reports whether any read observes wrong data. This
-// is a semantic check: March C- must detect all single stuck-at cells.
+// marchDetects runs a March sequence against a behavioral memory with an
+// injected stuck-at cell and reports whether any read observes wrong
+// data.
 func marchDetects(ops []MemOp, faultAddr uint64, stuckBit uint64, stuckVal uint64) bool {
 	mem := map[uint64]uint64{}
 	apply := func(a uint64) {
@@ -138,20 +109,6 @@ func marchDetects(ops []MemOp, faultAddr uint64, stuckBit uint64, stuckVal uint6
 	return false
 }
 
-func TestMarchCMinusDetectsStuckAtCells(t *testing.T) {
-	ops := MarchCMinus(16, 0, 8)
-	for addr := uint64(0); addr < 16; addr++ {
-		for bit := 0; bit < 8; bit++ {
-			if !marchDetects(ops, addr, 1<<uint(bit), 0) {
-				t.Fatalf("March C- missed SA0 at addr %d bit %d", addr, bit)
-			}
-			if !marchDetects(ops, addr, 1<<uint(bit), 1) {
-				t.Fatalf("March C- missed SA1 at addr %d bit %d", addr, bit)
-			}
-		}
-	}
-}
-
 func TestMarchXStructure(t *testing.T) {
 	ops := MarchX(4, 0, 8)
 	// N + 2N + 2N + N = 6N
@@ -160,37 +117,6 @@ func TestMarchXStructure(t *testing.T) {
 	}
 	if !marchDetects(ops, 2, 0x10, 1) {
 		t.Error("March X missed a stuck-at-1 cell")
-	}
-}
-
-func TestCheckerboard(t *testing.T) {
-	ops := Checkerboard(4, 8)
-	if len(ops) != 8 {
-		t.Fatalf("checkerboard length = %d", len(ops))
-	}
-	if ops[0].Data == ops[1].Data {
-		t.Error("adjacent addresses share pattern")
-	}
-	if ops[4].Kind != OpRead || ops[4].Data != ops[0].Data {
-		t.Error("read-back phase mismatched")
-	}
-}
-
-func TestWalkingOnes(t *testing.T) {
-	ops := WalkingOnes(2, 4)
-	if len(ops) != 4*2*2 {
-		t.Fatalf("walking ones length = %d", len(ops))
-	}
-	seen := map[uint64]bool{}
-	for _, op := range ops {
-		if op.Kind == OpWrite {
-			seen[op.Data] = true
-		}
-	}
-	for bit := 0; bit < 4; bit++ {
-		if !seen[1<<uint(bit)] {
-			t.Errorf("pattern %#x never written", 1<<uint(bit))
-		}
 	}
 }
 
@@ -217,62 +143,36 @@ func TestRandomOps(t *testing.T) {
 	}
 }
 
-func TestOpsToTrace(t *testing.T) {
-	ops := []MemOp{
-		{OpWrite, 5, 0xAB},
-		{OpRead, 5, 0},
-		{OpIdle, 0, 0},
-	}
-	tr := OpsToTrace(ops, MemPorts{Req: "req", WE: "we", Addr: "addr", WData: "wdata", GapCycles: 1})
-	// 3 ops * 2 cycles (op+gap) + 2 trailing idle = 8
-	if tr.Cycles() != 8 {
-		t.Fatalf("cycles = %d", tr.Cycles())
-	}
-	if tr.Value(0, "req") != 1 || tr.Value(0, "we") != 1 || tr.Value(0, "addr") != 5 || tr.Value(0, "wdata") != 0xAB {
-		t.Error("write op misrendered")
-	}
-	if tr.Value(1, "req") != 0 {
-		t.Error("gap cycle still requesting")
-	}
-	if tr.Value(2, "req") != 1 || tr.Value(2, "we") != 0 {
-		t.Error("read op misrendered")
-	}
-	if tr.Value(4, "req") != 0 {
-		t.Error("idle op requested")
-	}
-}
-
-func TestOpsToTraceWithPriv(t *testing.T) {
-	tr := OpsToTrace([]MemOp{{OpRead, 1, 0}},
-		MemPorts{Req: "req", WE: "we", Addr: "addr", WData: "wdata", Priv: "priv", PrivValue: 1})
-	if tr.Value(0, "priv") != 1 {
-		t.Error("priv not driven")
-	}
-}
-
-func TestMarchSS(t *testing.T) {
-	words := 8
-	ops := MarchSS(words, 0, 8)
-	// N + 4 elements of 5N + N = 22N.
-	if len(ops) != 22*words {
-		t.Fatalf("March SS length = %d, want %d", len(ops), 22*words)
-	}
-	// Detects all single stuck-at cells (strictly stronger than March X).
-	for addr := uint64(0); addr < uint64(words); addr++ {
+// TestMarchXDetectsStuckAtCells sweeps every single stuck-at-0 and
+// stuck-at-1 cell of a 16x8 memory: March X, the BIST algorithm of the
+// memory sub-system, must observe each one.
+func TestMarchXDetectsStuckAtCells(t *testing.T) {
+	ops := MarchX(16, 0, 8)
+	for addr := uint64(0); addr < 16; addr++ {
 		for bit := 0; bit < 8; bit++ {
-			if !marchDetects(ops, addr, 1<<uint(bit), 0) || !marchDetects(ops, addr, 1<<uint(bit), 1) {
-				t.Fatalf("March SS missed a stuck cell at %d/%d", addr, bit)
+			for _, v := range []uint64{0, 1} {
+				if !marchDetects(ops, addr, 1<<uint(bit), v) {
+					t.Fatalf("March X missed SA%d at addr %d bit %d", v, addr, bit)
+				}
 			}
 		}
 	}
-	// Double reads exist (read-destructive fault pattern).
-	doubles := 0
-	for i := 1; i < len(ops); i++ {
-		if ops[i].Kind == OpRead && ops[i-1].Kind == OpRead && ops[i].Addr == ops[i-1].Addr {
-			doubles++
-		}
+}
+
+// TestInputPorts resolves a trace's ports against a netlist in trace
+// order and rejects a port the netlist lacks.
+func TestInputPorts(t *testing.T) {
+	n := netlist.New("d")
+	n.AddInput("a", 2)
+	n.AddInput("b", 1)
+	ports, err := NewTrace("b", "a").InputPorts(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if doubles == 0 {
-		t.Error("March SS has no back-to-back reads")
+	if len(ports) != 2 || ports[0].Name != "b" || ports[1].Name != "a" || len(ports[1].Nets) != 2 {
+		t.Errorf("ports = %+v, want b then a", ports)
+	}
+	if _, err := NewTrace("a", "c").InputPorts(n); err == nil || !strings.Contains(err.Error(), `"c"`) {
+		t.Errorf("missing port error = %v, want one naming \"c\"", err)
 	}
 }

@@ -562,52 +562,9 @@ func (a *Analysis) ClassifyGate(g netlist.GateID, globalFrac float64) faults.Cla
 	return faults.Classify(a.zoneTouch[g], a.classifiedZones, globalFrac)
 }
 
-// ClassifyFault classifies a stuck-at/bridge/delay fault site.
-func (a *Analysis) ClassifyFault(f faults.Fault, globalFrac float64) faults.Class {
-	touch := 0
-	addNet := func(id netlist.NetID) {
-		if g, ok := a.N.DriverGate(id); ok {
-			if a.zoneTouch[g.ID] > touch {
-				touch = a.zoneTouch[g.ID]
-			}
-			return
-		}
-		// Source net (FF Q, PI): count zones whose cones have it as leaf.
-		c := 0
-		for zi := range a.Zones {
-			for _, l := range a.Cones[zi].Leaves {
-				if l == id {
-					c++
-					break
-				}
-			}
-		}
-		if c > touch {
-			touch = c
-		}
-	}
-	switch f.Site {
-	case faults.SitePin:
-		if a.zoneTouch[f.Gate] > touch {
-			touch = a.zoneTouch[f.Gate]
-		}
-	case faults.SiteFF:
-		touch = 1
-	default:
-		addNet(f.Net)
-		if f.Net2 != netlist.InvalidNet {
-			addNet(f.Net2)
-		}
-	}
-	return faults.Classify(touch, a.classifiedZones, globalFrac)
-}
-
 // MainEffects returns the observation points combinationally reachable
 // from the zone — where a zone failure manifests first if not masked.
 func (a *Analysis) MainEffects(zone int) []int { return a.directObs[zone] }
-
-// NextZones returns zones reachable in one sequential migration step.
-func (a *Analysis) NextZones(zone int) []int { return a.nextZones[zone] }
 
 // SecondaryEffects returns observation points reachable only through
 // migration into other zones (Fig. 3), excluding the main effects.

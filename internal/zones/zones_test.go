@@ -200,8 +200,8 @@ func TestMainAndSecondaryEffects(t *testing.T) {
 		t.Errorf("stage1 secondary effects = %v, want out (%d)", sec1, obsID["out"])
 	}
 	// stage1 migrates into stage2.
-	if !containsInt(a.NextZones(z1.ID), z2.ID) {
-		t.Errorf("stage1 next zones = %v, want stage2 (%d)", a.NextZones(z1.ID), z2.ID)
+	if !containsInt(a.nextZones[z1.ID], z2.ID) {
+		t.Errorf("stage1 next zones = %v, want stage2 (%d)", a.nextZones[z1.ID], z2.ID)
 	}
 	// stage2 reaches out directly and nothing secondary.
 	if !containsInt(a.MainEffects(z2.ID), obsID["out"]) {
@@ -295,21 +295,6 @@ func TestClassification(t *testing.T) {
 	}
 	if cl := an.ClassifyGate(notGate, 0.9); cl != faults.Local {
 		t.Errorf("private NOT gate class = %v, want local (touch=%d)", cl, an.GateTouch(notGate))
-	}
-	// Fault-level classification.
-	f := faults.PinSA(sharedGate, 0, true)
-	if cl := an.ClassifyFault(f, 0.9); cl != faults.Wide {
-		t.Errorf("pin fault class = %v, want wide", cl)
-	}
-	ff := faults.FFFlip(0)
-	if cl := an.ClassifyFault(ff, 0.9); cl != faults.Local {
-		t.Errorf("FF flip class = %v, want local", cl)
-	}
-	// A net fault on a primary input feeding both registers' cones: the
-	// PI is a leaf of two cones -> wide.
-	nf := faults.NetSA(n.Inputs[0].Nets[0], false)
-	if cl := an.ClassifyFault(nf, 0.99); cl != faults.Wide {
-		t.Errorf("PI net fault class = %v, want wide", cl)
 	}
 }
 

@@ -47,20 +47,22 @@ func TestCleanFixture(t *testing.T) {
 	}
 }
 
-// TestRepoPackages runs the analyzer over the report-feeding packages —
-// the same gate CI applies. internal/telemetry is in the set too: its
-// only wall-clock read is the SystemClock seam, exempted by a reasoned
-// //det:allow, so the package must otherwise lint clean. The repo root
-// is two levels up from this package directory.
+// TestRepoPackages runs the analyzer over the packages CI's determinism
+// lint step names, so tier-1 applies the same gate. internal/telemetry
+// is in the set too: its only wall-clock read is the SystemClock seam,
+// exempted by a reasoned //det:allow, so the package must otherwise lint
+// clean. The repo root is two levels up from this package directory.
 func TestRepoPackages(t *testing.T) {
-	for _, pkg := range []string{"fmea", "inject", "report", "drc", "telemetry", "statfault"} {
-		dir := filepath.Join("..", "..", "internal", pkg)
-		diags, err := lintDir(dir, false)
+	for _, pkg := range []string{
+		"internal/fmea", "internal/inject", "internal/report", "internal/drc", "internal/telemetry",
+		"internal/simc", "internal/statfault", "internal/dist", "cmd/tracer",
+	} {
+		diags, err := lintDir(filepath.Join("..", "..", filepath.FromSlash(pkg)), false)
 		if err != nil {
 			t.Fatalf("%s: %v", pkg, err)
 		}
 		if len(diags) != 0 {
-			t.Errorf("internal/%s has determinism findings: %v", pkg, diags)
+			t.Errorf("%s has determinism findings: %v", pkg, diags)
 		}
 	}
 }
