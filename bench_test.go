@@ -605,66 +605,6 @@ func BenchmarkE15_ParallelCampaign(b *testing.B) {
 	}
 }
 
-// ---------- E16: parallel gate-level fault simulation ----------
-
-// BenchmarkE16_ParallelFaultSim shards the E8 codec campaign's 64-lane
-// chunks across engine clones, reporting faults/sec and speedup vs the
-// measured serial baseline.
-func BenchmarkE16_ParallelFaultSim(b *testing.B) {
-	n, err := memsys.BuildCodecBench(memsys.V2Config())
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := faults.StuckAtUniverse(n)
-	eng, err := faultsim.New(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := memsys.CodecVectors(memsys.V2Config(), 600, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var funcObs, diag []netlist.NetID
-	for _, port := range []string{"dout", "enc"} {
-		if p, ok := n.FindOutput(port); ok {
-			funcObs = append(funcObs, p.Nets...)
-		}
-	}
-	for _, port := range []string{"alarm_single", "alarm_double", "alarm_in_addr", "alarm_in_check"} {
-		if p, ok := n.FindOutput(port); ok {
-			diag = append(diag, p.Nets...)
-		}
-	}
-	start := time.Now()
-	serial, err := eng.Run(tr, funcObs, diag, u.Reps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	serialPerFault := time.Since(start).Seconds() / float64(len(u.Reps))
-	once("E16", func() {
-		fmt.Printf("\n[E16] parallel fault simulation: %d collapsed stuck-ats in %d-fault chunks,\n",
-			len(u.Reps), 63)
-		fmt.Printf("[E16] serial baseline %.0f faults/s on GOMAXPROCS=%d\n",
-			1/serialPerFault, runtime.GOMAXPROCS(0))
-	})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := eng.RunParallel(tr, funcObs, diag, u.Reps, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 && !reflect.DeepEqual(res, serial) {
-					b.Fatal("parallel result differs from serial")
-				}
-			}
-			perFault := b.Elapsed().Seconds() / float64(b.N*len(u.Reps))
-			b.ReportMetric(1/perFault, "faults/s")
-			b.ReportMetric(serialPerFault/perFault, "speedup")
-		})
-	}
-}
-
 // ---------- E17: fault-tolerant campaign execution — kill a campaign
 // mid-plan, resume from the deterministic checkpoint, and verify the
 // merged report is bit-identical to the uninterrupted run. ----------

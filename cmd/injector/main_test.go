@@ -27,6 +27,9 @@ func TestExitCodes(t *testing.T) {
 		{"negative workers", []string{"-design", "v1", "-workers", "-1"}, 2},
 		{"negative count", []string{"-design", "v1", "-transient", "-1"}, 2},
 		{"negative warmstart", []string{"-design", "v1", "-warmstart", "-1"}, 2},
+		{"negative words", []string{"-design", "v1", "-addr", "4", "-words", "-5"}, 2},
+		{"tolerance out of range", []string{"-design", "v1", "-addr", "4", "-tol", "-1"}, 2},
+		{"tolerance not a number", []string{"-design", "v1", "-addr", "4", "-tol", "NaN"}, 2},
 		{"resume without checkpoint", []string{"-design", "v1", "-resume"}, 2},
 		{"worker without transport", []string{"worker", "-design", "v1"}, 2},
 		{"worker with both transports", []string{"worker", "-connect", "127.0.0.1:1", "-stdio"}, 2},
@@ -37,6 +40,7 @@ func TestExitCodes(t *testing.T) {
 		{"worker negative workers", []string{"worker", "-stdio", "-workers", "-1"}, 2},
 		{"worker negative count", []string{"worker", "-stdio", "-wide", "-1"}, 2},
 		{"worker negative warmstart", []string{"worker", "-stdio", "-warmstart", "-1"}, 2},
+		{"worker negative words", []string{"worker", "-stdio", "-design", "v1", "-addr", "4", "-words", "-5"}, 2},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

@@ -248,11 +248,11 @@ type critRow struct {
 }
 
 type procRow struct {
-	Proc     string `json:"proc"`
-	Spans    int    `json:"spans"`
-	BusyNs   int64  `json:"busy_ns"`
+	Proc     string  `json:"proc"`
+	Spans    int     `json:"spans"`
+	BusyNs   int64   `json:"busy_ns"`
 	UtilPct  float64 `json:"util_pct"`
-	Timeline string `json:"timeline"`
+	Timeline string  `json:"timeline"`
 }
 
 type leaseReport struct {

@@ -155,6 +155,8 @@ func (c *Command) check() error {
 	switch {
 	case c.Workers < 0:
 		return fmt.Errorf("-workers must be >= 0 (0 = serial), got %d", c.Workers)
+	case c.groups&Spec != 0 && c.Spec.Words < 1:
+		return fmt.Errorf("-words must be >= 1, got %d", c.Spec.Words)
 	case c.Spec.Warmstart < 0:
 		return fmt.Errorf("-warmstart must be >= 0 (0 = cold start), got %d", c.Spec.Warmstart)
 	case c.CycleBudget < 0:
@@ -165,6 +167,8 @@ func (c *Command) check() error {
 		return fmt.Errorf("-retries must be >= 0, got %d", c.Retries)
 	case c.Spec.Transient < 0 || c.Spec.Permanent < 0 || c.Spec.Wide < 0:
 		return fmt.Errorf("experiment counts must be >= 0")
+	case !(c.Tol >= 0 && c.Tol <= 1): // also rejects NaN
+		return fmt.Errorf("-tol must be in [0, 1], got %v", c.Tol)
 	case c.Progress < 0:
 		return fmt.Errorf("-progress must be >= 0, got %v", c.Progress)
 	case c.groups&Join != 0 && (c.Connect == "") == !c.Stdio:

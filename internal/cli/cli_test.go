@@ -30,7 +30,7 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 		sp := dist.Spec{
 			Design:    designs[rng.Intn(len(designs))],
 			AddrWidth: rng.Intn(12),
-			Words:     rng.Intn(300),
+			Words:     1 + rng.Intn(299),
 			Transient: rng.Intn(64),
 			Permanent: rng.Intn(64),
 			Wide:      rng.Intn(256),
@@ -54,6 +54,26 @@ func TestWorkerArgsRoundTrip(t *testing.T) {
 			w.Heartbeat != 2*time.Second {
 			t.Fatalf("spec %+v: argv %v parsed back to %+v", sp, argv, w)
 		}
+	}
+}
+
+// TestRangeEdgesAccepted: the edges of the checked ranges are valid
+// values, and a front end without the Spec group is not held to -words.
+func TestRangeEdgesAccepted(t *testing.T) {
+	for _, args := range [][]string{
+		{"-words", "1"},
+		{"-tol", "0"},
+		{"-tol", "1"},
+	} {
+		var errb bytes.Buffer
+		c := New("injector", "", frontEnds["injector"], &errb)
+		if code, ok := c.Parse(args); !ok {
+			t.Errorf("injector %v: exit %d, want accepted\n%s", args, code, errb.String())
+		}
+	}
+	var errb bytes.Buffer
+	if code, ok := New("served", "", Collapse, &errb).Parse(nil); !ok {
+		t.Errorf("served: exit %d, want accepted\n%s", code, errb.String())
 	}
 }
 
@@ -92,6 +112,8 @@ func TestSharedFlagRejection(t *testing.T) {
 		{Spec, []string{"-design", "nope"}},
 		{Spec, []string{"-design", "rand"}},
 		{Spec, []string{"-design", ""}},
+		{Spec, []string{"-words", "-5"}},
+		{Spec, []string{"-words", "0"}},
 		{Spec, []string{"-transient", "-1"}},
 		{Spec, []string{"-permanent", "-1"}},
 		{Spec, []string{"-wide", "-1"}},
@@ -101,6 +123,9 @@ func TestSharedFlagRejection(t *testing.T) {
 		{Supervision, []string{"-exp-timeout", "-1s"}},
 		{Supervision, []string{"-retries", "-1"}},
 		{Observe, []string{"-progress", "-1s"}},
+		{Report, []string{"-tol", "-0.1"}},
+		{Report, []string{"-tol", "1.5"}},
+		{Report, []string{"-tol", "NaN"}},
 		{Join, []string{"-heartbeat", "0s"}},
 		{Join, []string{"-connect", "127.0.0.1:1"}}, // with the -stdio below: both transports
 	}

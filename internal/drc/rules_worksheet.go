@@ -29,8 +29,8 @@ func init() {
 	register(Rule{
 		ID: "DRC-W004", Severity: Error, Layer: LayerWorksheet,
 		NeedsZones: true,
-		Title: "worksheet / zone cross-reference broken",
-		check: checkZoneCrossRefs,
+		Title:      "worksheet / zone cross-reference broken",
+		check:      checkZoneCrossRefs,
 	})
 	register(Rule{
 		ID: "DRC-W005", Severity: Error, Layer: LayerWorksheet,

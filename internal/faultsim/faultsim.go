@@ -7,7 +7,9 @@
 // Lane 0 always carries the golden circuit; lanes 1..63 each carry one
 // faulty circuit, so one pass simulates 63 faults against the whole
 // workload. Designs must be pure gate/FF logic (no behavioral
-// peripherals) and workloads must be fully binary.
+// peripherals) and workloads must be fully binary. The fault list is
+// simulated as given; callers collapse it first (faults.StuckAtUniverse
+// Reps).
 //
 // The evaluation kernel is the compiled bytecode program of
 // internal/simc: the netlist is compiled once per engine and every pass
@@ -23,32 +25,16 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netlist"
 	"repro/internal/simc"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
 const lanesPerPass = 63 // lane 0 is golden
 
-// Engine simulates a netlist in 64 parallel lanes. The engine itself is
-// immutable after New — per-pass lane state lives in a machine built
-// per chunk — but Clone is kept so callers written against the earlier
-// mutable engine keep working.
+// Engine simulates a netlist in 64 parallel lanes. It is immutable
+// after New: per-pass lane state lives in a machine built per chunk.
 type Engine struct {
 	n    *netlist.Netlist
 	prog *simc.Program
-
-	// Telemetry counts faults/passes/cycles out-of-band (nil = off).
-	// Clones share the hub, so parallel shards aggregate into one set
-	// of counters.
-	Telemetry *telemetry.Campaign
-
-	// Collapse enables the static pre-pass (internal/statfault) before
-	// simulation: faults proven undetectable (no observation point in
-	// the forward cone, or a stuck-at matching a proven constant) are
-	// graded without occupying a lane, and campaign-exact equivalent
-	// faults share one lane with the verdict copied onto every class
-	// member. The Result is identical to the uncollapsed run.
-	Collapse bool
 }
 
 // New builds an engine. The design must validate and must not contain
@@ -111,27 +97,38 @@ func (r Result) DiagOfDangerous() float64 {
 }
 
 // Run simulates the fault list against the workload trace, observing
-// funcObs (functional outputs) and diagObs (alarms). Only stuck-at
-// faults (net or pin site) are accepted. Run is serial; RunParallel
-// shards the 64-lane chunks across engine clones with an identical
-// result.
+// funcObs (functional outputs) and diagObs (alarms), one 63-fault chunk
+// per pass. Only stuck-at faults (net or pin site) are accepted.
 func (e *Engine) Run(tr *workload.Trace, funcObs, diagObs []netlist.NetID, list []faults.Fault) (Result, error) {
-	return e.RunParallel(tr, funcObs, diagObs, list, 1)
-}
-
-// runChunk simulates one chunk of up to 63 faults and records the
-// per-fault verdicts into per[base:base+len(chunk)].
-func (e *Engine) runChunk(tr *workload.Trace, ports []netlist.Port, funcObs, diagObs []netlist.NetID, chunk []faults.Fault, per []Detection) {
-	sp := e.Telemetry.StartSpanInt("faultsim-chunk", "faults", int64(len(chunk)))
-	funcMask, diagMask := e.runPass(tr, ports, funcObs, diagObs, chunk)
-	for i := range chunk {
-		lane := uint(i + 1)
-		per[i].Func = funcMask>>lane&1 == 1
-		per[i].Diag = diagMask>>lane&1 == 1
+	for _, f := range list {
+		if f.Kind != faults.SA0 && f.Kind != faults.SA1 {
+			return Result{}, fmt.Errorf("faultsim: unsupported fault kind %v (only stuck-at)", f.Kind)
+		}
 	}
-	e.Telemetry.AddFaultsSimulated(int64(len(chunk)))
-	e.Telemetry.AddSimCycles(int64(tr.Cycles()))
-	sp.End()
+	ports, err := tr.InputPorts(e.n)
+	if err != nil {
+		return Result{}, fmt.Errorf("faultsim: %w", err)
+	}
+	res := Result{PerFault: make([]Detection, len(list)), Total: len(list)}
+	for base := 0; base < len(list); base += lanesPerPass {
+		chunk := list[base:min(base+lanesPerPass, len(list))]
+		funcMask, diagMask := e.runPass(tr, ports, funcObs, diagObs, chunk)
+		for i := range chunk {
+			lane := uint(i + 1)
+			d := Detection{Func: funcMask>>lane&1 == 1, Diag: diagMask>>lane&1 == 1}
+			res.PerFault[base+i] = d
+			if d.Func {
+				res.FuncDet++
+			}
+			if d.Diag {
+				res.DiagDet++
+			}
+			if d.Func || d.Diag {
+				res.AnyDet++
+			}
+		}
+	}
+	return res, nil
 }
 
 // runPass simulates golden + one chunk of faults through the full trace

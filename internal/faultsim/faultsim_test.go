@@ -260,7 +260,4 @@ func TestUnknownTracePortIsError(t *testing.T) {
 	if _, err := e.Run(tr, nil, nil, list); err == nil {
 		t.Error("Run accepted an unknown trace port")
 	}
-	if _, err := e.RunParallel(tr, nil, nil, list, 4); err == nil {
-		t.Error("RunParallel accepted an unknown trace port")
-	}
 }

@@ -1,6 +1,8 @@
 package faultsim
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -79,10 +81,10 @@ func serialTrace(t *testing.T, n *netlist.Netlist, tr *workload.Trace, f *faults
 	return out
 }
 
-// TestCollapseClassesEquivalent: every fault in a structural equivalence
+// TestUniverseClassesEquivalent: every fault in a structural equivalence
 // class must have the same detection verdict as its representative —
 // the correctness property of fault collapsing.
-func TestCollapseClassesEquivalent(t *testing.T) {
+func TestUniverseClassesEquivalent(t *testing.T) {
 	for seed := uint64(20); seed <= 26; seed++ {
 		cfg := randckt.Default()
 		cfg.Gates = 25
@@ -123,5 +125,50 @@ func TestCollapseClassesEquivalent(t *testing.T) {
 			t.Fatalf("seed %d: detected %d of all faults but class-weighted reps say %d",
 				seed, detAll, detReps)
 		}
+	}
+}
+
+// TestVerdictsIndependentOfChunking: lanes are bitwise independent, so a
+// fault's verdict does not depend on which pass or lane carries it. Any
+// split of the list, and the reversed list, reproduce the verdicts of
+// one run over the whole list.
+func TestVerdictsIndependentOfChunking(t *testing.T) {
+	cfg := randckt.Default()
+	cfg.Gates = 90
+	n := randckt.Generate(cfg, 7)
+	eng, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := workload.Random(xrand.New(99), []string{"in"}, map[string]int{"in": 6}, 30)
+	out, _ := n.FindOutput("out")
+	list := faults.StuckAtUniverse(n).Reps
+	if len(list) <= 2*lanesPerPass {
+		t.Fatalf("fixture too small: %d faults, need > %d", len(list), 2*lanesPerPass)
+	}
+	run := func(l []faults.Fault) Result {
+		t.Helper()
+		res, err := eng.Run(tr, out.Nets, nil, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	whole := run(list)
+	for _, cut := range []int{1, lanesPerPass, lanesPerPass + 17} {
+		lo, hi := run(list[:cut]), run(list[cut:])
+		if got := append(slices.Clone(lo.PerFault), hi.PerFault...); !reflect.DeepEqual(got, whole.PerFault) {
+			t.Fatalf("split at %d: verdicts differ from the whole-list run", cut)
+		}
+		if lo.AnyDet+hi.AnyDet != whole.AnyDet || lo.FuncDet+hi.FuncDet != whole.FuncDet {
+			t.Fatalf("split at %d: tallies %d+%d != %d", cut, lo.AnyDet, hi.AnyDet, whole.AnyDet)
+		}
+	}
+	rev := slices.Clone(list)
+	slices.Reverse(rev)
+	got := run(rev).PerFault
+	slices.Reverse(got)
+	if !reflect.DeepEqual(got, whole.PerFault) {
+		t.Fatal("reversed list: verdicts differ from the whole-list run")
 	}
 }

@@ -45,8 +45,8 @@ const (
 
 // Analysis holds the static proofs for one netlist. Construct with New
 // (campaign monitors: observation points plus per-zone SENS groups) or
-// ForMonitors (explicit functional/diagnostic net lists, the faultsim
-// shape). All queries are read-only and safe for concurrent use.
+// ForMonitors (explicit functional/diagnostic net lists). All queries
+// are read-only and safe for concurrent use.
 type Analysis struct {
 	n   *netlist.Netlist
 	fan []int
@@ -117,10 +117,10 @@ func New(a *zones.Analysis) (*Analysis, error) {
 	return build(n, groups, monitored, perifEdges(a))
 }
 
-// ForMonitors builds the analysis for an explicit monitor pair, the
-// shape faultsim uses: group 0 is funcObs ∪ diagObs. Stem invisibility
-// only needs to protect those nets (faultsim designs carry no
-// peripherals), plus primary outputs.
+// ForMonitors builds the analysis for an explicit monitor pair: group 0
+// is funcObs ∪ diagObs. Stem invisibility protects those nets, primary
+// outputs and kept nets; there are no peripheral edges. DRC calls it
+// with empty lists for the constant proofs alone.
 func ForMonitors(n *netlist.Netlist, funcObs, diagObs []netlist.NetID) (*Analysis, error) {
 	if n == nil {
 		return nil, errors.New("statfault: nil netlist")

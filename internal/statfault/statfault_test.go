@@ -63,12 +63,12 @@ func TestConstPropagation(t *testing.T) {
 	in := n.AddInput("in", 1)[0]
 	c0 := n.ConstNet(false)
 	c1 := n.ConstNet(true)
-	andK := n.AddGate(netlist.AND, "", in, c0)    // const 0: controlling input
-	orK := n.AddGate(netlist.OR, "", in, c1)      // const 1
-	notK := n.AddGate(netlist.NOT, "", andK)      // const 1
-	xorK := n.AddGate(netlist.XOR, "", c1, c1)    // const 0
-	muxK := n.AddGate(netlist.MUX2, "", in, c1, c1) // X-select but both ways agree
-	free := n.AddGate(netlist.AND, "", in, c1)    // not constant
+	andK := n.AddGate(netlist.AND, "", in, c0)                  // const 0: controlling input
+	orK := n.AddGate(netlist.OR, "", in, c1)                    // const 1
+	notK := n.AddGate(netlist.NOT, "", andK)                    // const 1
+	xorK := n.AddGate(netlist.XOR, "", c1, c1)                  // const 0
+	muxK := n.AddGate(netlist.MUX2, "", in, c1, c1)             // X-select but both ways agree
+	free := n.AddGate(netlist.AND, "", in, c1)                  // not constant
 	_, q0 := n.AddFF("q0", "", andK, netlist.InvalidNet, false) // D const0, resets 0
 	_, q1 := n.AddFF("q1", "", andK, netlist.InvalidNet, true)  // D const0, resets 1: transient
 	n.AddOutput("out", []netlist.NetID{orK, notK, xorK, muxK, free, q0, q1})

@@ -46,8 +46,6 @@ type Campaign struct {
 	ckptWrites  *Counter
 	ckptLoads   *Counter
 	simCycles   *Counter
-	faultsDone  *Counter
-	simPasses   *Counter
 	mismatches  *Counter
 	inFlight    *Gauge
 	workers     *Gauge
@@ -90,8 +88,6 @@ func NewCampaign(journal *Journal, clock func() time.Time) *Campaign {
 		ckptWrites:  r.Counter("checkpoint_writes"),
 		ckptLoads:   r.Counter("checkpoint_loads"),
 		simCycles:   r.Counter("sim_cycles"),
-		faultsDone:  r.Counter("faults_simulated"),
-		simPasses:   r.Counter("faultsim_passes"),
 		mismatches:  r.Counter("mismatch_points"),
 		inFlight:    r.Gauge("exp_in_flight"),
 		workers:     r.Gauge("workers"),
@@ -299,16 +295,6 @@ func (c *Campaign) AddSimCycles(n int64) {
 	c.simCycles.Add(n)
 }
 
-// AddFaultsSimulated accumulates gate-level fault-simulation work: one
-// PPSFP pass covering n faults.
-func (c *Campaign) AddFaultsSimulated(n int64) {
-	if c == nil {
-		return
-	}
-	c.simPasses.Inc()
-	c.faultsDone.Add(n)
-}
-
 // CollapsePlan records the outcome of the static pre-pass over one
 // plan: pruned rows were classified without simulation (unobservable,
 // untestable or golden-quiescent), collapsed rows will inherit a
@@ -331,20 +317,6 @@ func (c *Campaign) OutcomeInherited() {
 	}
 	c.inherited.Inc()
 	c.expDone.Inc()
-}
-
-// CollapseFaults records the static pre-pass outcome of one gate-level
-// fault-simulation campaign: pruned faults were proven undetectable
-// without simulation, collapsed faults inherited a representative's
-// verdict. Unlike CollapsePlan this does not touch experiment
-// progress — fault-simulation throughput is AddFaultsSimulated's.
-func (c *Campaign) CollapseFaults(pruned, collapsed int) {
-	if c == nil {
-		return
-	}
-	c.staticPrune.Add(int64(pruned))
-	c.collapsed.Add(int64(collapsed))
-	c.inherited.Add(int64(collapsed))
 }
 
 // LeaseIssued records one range lease handed to a worker (or taken by

@@ -22,7 +22,6 @@ type Snapshot struct {
 	Quarantined int64 `json:"quarantined"`
 	Checkpoints int64 `json:"checkpoints"`
 	SimCycles   int64 `json:"sim_cycles"`
-	Faults      int64 `json:"faults_simulated"`
 
 	// Distributed-campaign scheduling (internal/dist); all zero for
 	// single-process runs.
@@ -37,7 +36,6 @@ type Snapshot struct {
 
 	ElapsedSec  float64 `json:"elapsed_sec"`
 	ExpPerSec   float64 `json:"exp_per_sec"`
-	FaultPerSec float64 `json:"faults_per_sec"`
 	CyclePerSec float64 `json:"cycles_per_sec"`
 	// Utilization is in-flight experiments over workers, 0..1.
 	Utilization float64 `json:"utilization"`
@@ -62,7 +60,6 @@ func (c *Campaign) Snapshot() Snapshot {
 		Quarantined: c.quarantined.Load(),
 		Checkpoints: c.ckptWrites.Load(),
 		SimCycles:   c.simCycles.Load(),
-		Faults:      c.faultsDone.Load(),
 
 		LeasesIssued:      c.leasesOut.Load(),
 		LeasesExpired:     c.leasesExp.Load(),
@@ -86,7 +83,6 @@ func (c *Campaign) Snapshot() Snapshot {
 		s.ElapsedSec = c.Clock().Sub(started).Seconds()
 		if s.ElapsedSec > 0 {
 			s.ExpPerSec = float64(s.Done-s.Preloaded) / s.ElapsedSec
-			s.FaultPerSec = float64(s.Faults) / s.ElapsedSec
 			s.CyclePerSec = float64(s.SimCycles) / s.ElapsedSec
 			if s.ExpPerSec > 0 && s.Total > s.Done {
 				s.ETASec = float64(s.Total-s.Done) / s.ExpPerSec
@@ -112,7 +108,6 @@ func (s *Snapshot) sanitize() {
 	}
 	finite(&s.ElapsedSec, 0)
 	finite(&s.ExpPerSec, 0)
-	finite(&s.FaultPerSec, 0)
 	finite(&s.CyclePerSec, 0)
 	finite(&s.Utilization, 0)
 	finite(&s.ETASec, -1)
@@ -127,9 +122,6 @@ func (s Snapshot) Line() string {
 	line := fmt.Sprintf("progress: %d/%d exp (%.1f%%)", s.Done, s.Total, pct)
 	if s.ExpPerSec > 0 {
 		line += fmt.Sprintf(" | %.1f exp/s", s.ExpPerSec)
-	}
-	if s.FaultPerSec > 0 {
-		line += fmt.Sprintf(" | %.0f faults/s", s.FaultPerSec)
 	}
 	if s.Workers > 0 {
 		line += fmt.Sprintf(" | workers %d/%d busy", s.InFlight, s.Workers)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
@@ -105,18 +106,45 @@ func TestSnapshotSanitize(t *testing.T) {
 	s := Snapshot{
 		ElapsedSec:  math.Inf(1),
 		ExpPerSec:   math.NaN(),
-		FaultPerSec: math.Inf(-1),
 		CyclePerSec: math.NaN(),
 		Utilization: math.Inf(1),
 		ETASec:      math.NaN(),
 	}
 	s.sanitize()
-	if s.ElapsedSec != 0 || s.ExpPerSec != 0 || s.FaultPerSec != 0 ||
+	if s.ElapsedSec != 0 || s.ExpPerSec != 0 ||
 		s.CyclePerSec != 0 || s.Utilization != 0 || s.ETASec != -1 {
 		t.Fatalf("sanitize left non-finite defaults: %+v", s)
 	}
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("sanitized snapshot does not marshal: %v", err)
+	}
+}
+
+// TestSnapshotSchema pins the /progress field set: adding or dropping a
+// field is a schema change for every poller.
+func TestSnapshotSchema(t *testing.T) {
+	b, err := json.Marshal(Snapshot{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range m { //det:order sorted below
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	want := []string{
+		"checkpoints", "cycles_per_sec", "done", "elapsed_sec", "eta_sec",
+		"exp_per_sec", "in_flight", "leases_expired", "leases_issued",
+		"outcomes", "preloaded", "quarantined", "ranges_quarantined",
+		"retries", "sim_cycles", "total", "utilization", "worker_retries",
+		"workers", "workers_active",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("/progress fields = %v, want %v", got, want)
 	}
 }
 

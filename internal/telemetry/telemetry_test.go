@@ -95,7 +95,6 @@ func TestCampaignNilSafe(t *testing.T) {
 	c.CheckpointWrite(5)
 	c.CheckpointLoad(3, 1)
 	c.AddSimCycles(100)
-	c.AddFaultsSimulated(63)
 	c.Summary()
 	if snap := c.Snapshot(); snap.Done != 0 || snap.ETASec != -1 {
 		t.Fatalf("nil snapshot = %+v", snap)
@@ -291,8 +290,7 @@ func ExampleSnapshot_Line() {
 
 // TestCampaignCollapseCounters checks the static pre-pass hooks: a
 // collapsed plan advances experiment progress by its pruned rows and
-// each inherited outcome, while a collapsed fault-simulation campaign
-// counts its inheritances without touching experiment progress.
+// each inherited outcome.
 func TestCampaignCollapseCounters(t *testing.T) {
 	c := NewCampaign(nil, nil)
 	c.PlanBuilt(10, 1, 0)
@@ -302,12 +300,8 @@ func TestCampaignCollapseCounters(t *testing.T) {
 	if got := c.Snapshot().Done; got != 5 {
 		t.Errorf("done after 3 pruned + 2 inherited = %d, want 5", got)
 	}
-	c.CollapseFaults(4, 6)
-	if got := c.Snapshot().Done; got != 5 {
-		t.Errorf("CollapseFaults moved experiment progress to %d", got)
-	}
 	counters := c.Registry.Snapshot().Counters
-	for name, want := range map[string]int64{"faults_static_pruned": 7, "faults_collapsed": 8, "outcomes_inherited": 8} {
+	for name, want := range map[string]int64{"faults_static_pruned": 3, "faults_collapsed": 2, "outcomes_inherited": 2} {
 		if counters[name] != want {
 			t.Errorf("%s = %d, want %d", name, counters[name], want)
 		}
@@ -315,7 +309,6 @@ func TestCampaignCollapseCounters(t *testing.T) {
 	var nilc *Campaign
 	nilc.CollapsePlan(1, 1)
 	nilc.OutcomeInherited()
-	nilc.CollapseFaults(1, 1)
 }
 
 // TestCampaignDistCounters checks the distributed-scheduling hooks that
