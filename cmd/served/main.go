@@ -3,12 +3,13 @@
 // injection → certify) behind a long-running HTTP/JSON API.
 //
 // Submissions (design spec + plan + grading knobs) enter a bounded
-// FIFO queue feeding a worker pool over the supervised core.Run
-// engine; a full queue answers 429, a duplicate submission is served
-// byte-identically from the content-addressed result cache, and every
-// job exposes its own live /progress snapshot, report and JSONL span
-// journal. SIGTERM drains gracefully: no new submissions, queued and
-// running jobs finish, then the process exits 0.
+// FIFO queue feeding a worker pool over the supervised core.Assess
+// engine; a full queue answers 429, a repeat or a regrade of a spec
+// already measured is graded from the content-addressed evidence cache
+// with no second engine run, and every job exposes its own live
+// /progress snapshot, report and JSONL span journal. SIGTERM drains
+// gracefully: no new submissions, queued and running jobs finish, then
+// the process exits 0.
 //
 // Quick start:
 //
@@ -66,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	queue := fs.Int("queue", 64, "bounded FIFO submission queue depth (overflow answers 429)")
 	jobs := fs.Int("jobs", 1, "job worker pool size (concurrent assessments)")
 	engineWorkers := fs.Int("engine-workers", runtime.NumCPU(), "injection-campaign goroutines per job (byte-neutral)")
-	cacheCap := fs.Int("cache", 256, "content-addressed result cache entries (negative disables)")
+	cacheCap := fs.Int("cache", 256, "content-addressed evidence cache entries (negative disables)")
 	jobsCap := fs.Int("jobs-cap", 1024, "job table retention: oldest finished jobs evicted past this many (negative disables)")
 	drainTimeout := fs.Duration("drain-timeout", 0, "max wait for running jobs on SIGTERM (0 = wait forever)")
 	if code, ok := cmd.Parse(args); !ok {

@@ -129,7 +129,10 @@ type Validation struct {
 	AbortedExps int
 }
 
-// Assessment is the flow's output: the safety case for one design.
+// Assessment is the flow's output: the safety case for one design. It
+// is evidence plus a grade: Assess fills the measured fields and
+// Evidence, Grade fills SIL, TargetSIL, TargetMet and the validation
+// rows' verdicts.
 type Assessment struct {
 	Name      string
 	Analysis  *zones.Analysis
@@ -144,12 +147,85 @@ type Assessment struct {
 	TargetMet   bool
 	Sensitivity fmea.Sensitivity
 	Validation  *Validation
+	// Evidence is the compact measured record Report and SRS render
+	// from. An assessment graded from cached evidence carries only it:
+	// Analysis, Worksheet, DRC and the campaign reports are nil. On an
+	// assessment assembled field by field it is nil, and the renderers
+	// derive it from the fields above.
+	Evidence *Evidence
 }
+
+// Evidence is what one assessment measured, cut down to what Grade and
+// the renderers read. It depends on the design and the measuring
+// options only — never on TargetSIL, HFT or Tolerance — so one Evidence
+// grades against any target. It holds no netlist, zone analysis,
+// worksheet or campaign report, so keeping it costs kilobytes, not the
+// campaign's working set.
+type Evidence struct {
+	Name string
+	// Zones is the zone-extraction summary line.
+	Zones       string
+	Metrics     fmea.Metrics
+	Sensitivity fmea.Sensitivity
+	// WorksheetRows and Techniques are the worksheet facts the SRS
+	// cites: its row count and the diagnostic techniques its rows
+	// claim, in catalogue order.
+	WorksheetRows int
+	Techniques    []iec61508.Technique
+	// Ranking is the head of the criticality ranking, as far as the
+	// report lists it.
+	Ranking []fmea.ZoneRank
+	// DRC is the pre-flight's outcome (nil when Options.SkipDRC).
+	DRC *DRCEvidence
+	// Campaign is the validation's outcome (nil without
+	// Options.RunValidation).
+	Campaign *CampaignEvidence
+}
+
+// rankingShown is how many zones the report's criticality table lists.
+const rankingShown = 10
+
+// DRCEvidence is the part of a drc.Result the report prints.
+type DRCEvidence struct {
+	Summary string
+	// Errors holds one rendered line per error-level finding; the
+	// pre-flight is clean when it is empty.
+	Errors []string
+}
+
+// CampaignEvidence is what the validation campaigns measured.
+type CampaignEvidence struct {
+	Complete      bool
+	InactiveZones []string
+	// Experiments counts the zone campaign's experiments with a verdict.
+	Experiments int
+	Coverage    inject.Coverage
+	Quarantined int
+	AbortedExps int
+	// Rows are the per-zone estimate-vs-measurement deltas. Their
+	// Within is Grade's: it stays false here.
+	Rows      []inject.ValidationRow
+	EffectsOK bool
+	ToggleRaw float64
+	ToggleAdj float64
+	ToggleOK  bool
+	// Wide reports whether the wide/global campaign ran; WideRun and
+	// WideMulti count its experiments and those with multi-point
+	// effects.
+	Wide      bool
+	WideRun   int
+	WideMulti int
+}
+
+// degraded reports experiments without a verdict (see
+// Validation.Degraded).
+func (c *CampaignEvidence) degraded() bool { return c.Quarantined > 0 || c.AbortedExps > 0 }
 
 // DRCClean reports whether the pre-flight ran and found no error-level
 // violations (vacuously true when skipped).
 func (as *Assessment) DRCClean() bool {
-	return as.DRC == nil || as.DRC.Clean()
+	d := as.evidence().DRC
+	return d == nil || len(d.Errors) == 0
 }
 
 // CampaignHealthy reports whether the validation campaign (when run)
@@ -159,11 +235,24 @@ func (as *Assessment) CampaignHealthy() bool {
 	return as.Validation == nil || !as.Validation.Degraded
 }
 
-// Run executes the flow over a DUT. When Options.Ctx is set and is
-// cancelled mid-flight, Run returns an error wrapping the context's
-// error (context.Canceled / DeadlineExceeded) and never a partial
-// assessment.
+// Run executes the flow over a DUT: Grade(Assess(dut, opts), opts).
+// When Options.Ctx is set and is cancelled mid-flight, Run returns an
+// error wrapping the context's error (context.Canceled /
+// DeadlineExceeded) and never a partial assessment.
 func Run(dut DUT, opts Options) (*Assessment, error) {
+	as, err := Assess(dut, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Grade(as, opts), nil
+}
+
+// Assess runs the measuring half of the flow: zones, worksheet, DRC,
+// golden run, plans, both campaigns, the per-zone deltas, effects and
+// toggle coverage. It reads none of TargetSIL, HFT and Tolerance, and
+// its result is ungraded: SIL, TargetMet, the rows' Within and
+// PassFraction are left for Grade. Cancellation behaves as in Run.
+func Assess(dut DUT, opts Options) (*Assessment, error) {
 	tel := opts.Telemetry
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -198,17 +287,13 @@ func Run(dut DUT, opts Options) (*Assessment, error) {
 	}
 	tel.Phase("worksheet")
 	w := dut.Worksheet(a, opts.Rates)
-	m := w.Totals()
 	as := &Assessment{
 		Name:        dut.DesignName(),
 		Analysis:    a,
 		Worksheet:   w,
-		Metrics:     m,
-		SIL:         iec61508.MaxSIL(m.SFF(), opts.HFT, true),
-		TargetSIL:   opts.TargetSIL,
+		Metrics:     w.Totals(),
 		Sensitivity: w.SpanAssumptions(opts.Span),
 	}
-	as.TargetMet = as.SIL >= opts.TargetSIL
 	if !opts.SkipDRC {
 		tel.Phase("drc-preflight")
 		as.DRC, err = drc.Run(drc.Input{
@@ -218,10 +303,18 @@ func Run(dut DUT, opts Options) (*Assessment, error) {
 			return nil, fmt.Errorf("core: DRC pre-flight: %w", err)
 		}
 	}
-	if !opts.RunValidation {
-		return as, nil
+	if opts.RunValidation {
+		if as.Validation, err = validate(dut, a, w, opts, canceled); err != nil {
+			return nil, ctxErr(ctx, err)
+		}
 	}
+	as.Evidence = evidenceOf(as)
+	return as, nil
+}
 
+// validate is Assess's fault-injection half.
+func validate(dut DUT, a *zones.Analysis, w *fmea.Worksheet, opts Options, canceled func(string) error) (*Validation, error) {
+	tel := opts.Telemetry
 	target := dut.Target(a)
 	target.Supervision = opts.Supervision
 	target.Telemetry = tel
@@ -240,7 +333,7 @@ func Run(dut DUT, opts Options) (*Assessment, error) {
 	tel.Phase("golden-run")
 	golden, err := target.RunGolden(dut.ValidationTrace())
 	if err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("core: golden run: %w", err))
+		return nil, fmt.Errorf("core: golden run: %w", err)
 	}
 	v := &Validation{}
 	var inactive []int
@@ -248,26 +341,31 @@ func Run(dut DUT, opts Options) (*Assessment, error) {
 	for _, zi := range inactive {
 		v.InactiveZones = append(v.InactiveZones, a.Zones[zi].Name)
 	}
+	tel.Phase("plan")
 	plan := inject.BuildPlan(a, golden, opts.Plan)
+	var widePlan []inject.Injection
+	if opts.WideFaults > 0 {
+		widePlan = inject.WidePlan(a, golden, opts.WideFaults, opts.Plan.Seed+1)
+	}
 	if err := canceled("injection campaign"); err != nil {
 		return nil, err
 	}
 	tel.Phase("zone-campaign")
 	v.Report, err = target.Run(golden, plan)
 	if err != nil {
-		return nil, ctxErr(ctx, fmt.Errorf("core: injection campaign: %w", err))
+		return nil, fmt.Errorf("core: injection campaign: %w", err)
 	}
 	if opts.WideFaults > 0 {
-		widePlan := inject.WidePlan(a, golden, opts.WideFaults, opts.Plan.Seed+1)
 		if err := canceled("wide/global campaign"); err != nil {
 			return nil, err
 		}
 		tel.Phase("wide-campaign")
 		v.WideReport, err = target.Run(golden, widePlan)
 		if err != nil {
-			return nil, ctxErr(ctx, fmt.Errorf("core: wide/global campaign: %w", err))
+			return nil, fmt.Errorf("core: wide/global campaign: %w", err)
 		}
 	}
+	tel.Phase("analyze")
 	for _, rep := range []*inject.Report{v.Report, v.WideReport} {
 		if rep == nil {
 			continue
@@ -276,8 +374,12 @@ func Run(dut DUT, opts Options) (*Assessment, error) {
 		v.AbortedExps += rep.AbortedCount()
 	}
 	v.Degraded = v.Quarantined > 0 || v.AbortedExps > 0
-	v.Rows = v.Report.ValidateWorksheet(a, w, opts.Tolerance)
-	v.PassFraction = inject.PassFraction(v.Rows)
+	// The deltas are measured; which of them are within tolerance is
+	// Grade's call.
+	v.Rows = v.Report.ValidateWorksheet(a, w, 0)
+	for i := range v.Rows {
+		v.Rows[i].Within = false
+	}
 	v.Effects = v.Report.CheckEffects(a)
 	v.EffectsOK = true
 	for _, ec := range v.Effects {
@@ -296,73 +398,169 @@ func Run(dut DUT, opts Options) (*Assessment, error) {
 	v.ToggleRaw = toggleRep.Coverage()
 	v.ToggleAdj, _ = target.AdjustedToggle(toggleRep)
 	v.ToggleOK = v.ToggleAdj >= opts.ToggleThreshold
-	as.Validation = v
-	return as, nil
+	return v, nil
 }
 
-// Report renders the assessment as a certification-style text document.
-func (as *Assessment) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "=== Safety assessment: %s ===\n\n", as.Name)
-	fmt.Fprintf(&b, "%s\n\n", as.Analysis.Summary())
+// Grade grades an assessment's evidence: the SIL its SFF claims at
+// opts.HFT, whether that meets opts.TargetSIL, and which zones'
+// deltas are within opts.Tolerance — the only options it reads. It
+// returns a new assessment and leaves as untouched; the result shares
+// as's measured detail and Evidence. Grade reads only as.Evidence when
+// it is set, so cached evidence grades as &Assessment{Evidence: ev}.
+func Grade(as *Assessment, opts Options) *Assessment {
+	ev := as.evidence()
+	g := *as
+	g.Name, g.Metrics, g.Sensitivity, g.Evidence = ev.Name, ev.Metrics, ev.Sensitivity, ev
+	g.SIL = iec61508.MaxSIL(ev.Metrics.SFF(), opts.HFT, true)
+	g.TargetSIL = opts.TargetSIL
+	g.TargetMet = g.SIL >= opts.TargetSIL
+	c := ev.Campaign
+	if c == nil {
+		g.Validation = nil
+		return &g
+	}
+	rows := append([]inject.ValidationRow(nil), c.Rows...)
+	for i := range rows {
+		rows[i].Within = rows[i].DeltaS <= opts.Tolerance && rows[i].DeltaDDF <= opts.Tolerance
+	}
+	v := &Validation{
+		Complete: c.Complete, InactiveZones: c.InactiveZones,
+		Rows: rows, PassFraction: inject.PassFraction(rows),
+		EffectsOK: c.EffectsOK,
+		ToggleRaw: c.ToggleRaw, ToggleAdj: c.ToggleAdj, ToggleOK: c.ToggleOK,
+		Degraded: c.degraded(), Quarantined: c.Quarantined, AbortedExps: c.AbortedExps,
+	}
+	if m := as.Validation; m != nil {
+		v.Report, v.WideReport, v.Effects = m.Report, m.WideReport, m.Effects
+	}
+	g.Validation = v
+	return &g
+}
 
+// evidence returns the assessment's compact evidence, deriving it when
+// the assessment was assembled field by field.
+func (as *Assessment) evidence() *Evidence {
+	if as.Evidence != nil {
+		return as.Evidence
+	}
+	return evidenceOf(as)
+}
+
+// evidenceOf cuts an assessment's measured fields down to its
+// Evidence.
+func evidenceOf(as *Assessment) *Evidence {
+	w := as.Worksheet
+	ev := &Evidence{
+		Name: as.Name, Zones: as.Analysis.Summary(),
+		Metrics: as.Metrics, Sensitivity: as.Sensitivity,
+		WorksheetRows: len(w.Rows), Techniques: claimedTechniques(w),
+	}
+	ranking := w.Ranking()
+	ev.Ranking = append([]fmea.ZoneRank(nil), ranking[:min(rankingShown, len(ranking))]...)
+	if as.DRC != nil {
+		ev.DRC = &DRCEvidence{Summary: as.DRC.Summary()}
+		for i := range as.DRC.Findings {
+			if f := &as.DRC.Findings[i]; f.Severity == drc.Error {
+				ev.DRC.Errors = append(ev.DRC.Errors, fmt.Sprintf("[%s] %s: %s", f.Rule, f.Loc, f.Message))
+			}
+		}
+	}
+	if v := as.Validation; v != nil {
+		c := &CampaignEvidence{
+			Complete: v.Complete, InactiveZones: v.InactiveZones,
+			Experiments: len(v.Report.Results), Coverage: v.Report.Coverage,
+			Quarantined: v.Quarantined, AbortedExps: v.AbortedExps,
+			Rows: v.Rows, EffectsOK: v.EffectsOK,
+			ToggleRaw: v.ToggleRaw, ToggleAdj: v.ToggleAdj, ToggleOK: v.ToggleOK,
+		}
+		if v.WideReport != nil {
+			c.Wide, c.WideRun, c.WideMulti = true, len(v.WideReport.Results), multiEffect(v.WideReport)
+		}
+		ev.Campaign = c
+	}
+	return ev
+}
+
+// claimedTechniques lists, in catalogue order, the diagnostic
+// techniques the worksheet's rows claim.
+func claimedTechniques(w *fmea.Worksheet) []iec61508.Technique {
+	claimed := map[iec61508.Technique]bool{}
+	for i := range w.Rows {
+		for _, tq := range []iec61508.Technique{w.Rows[i].TechHW, w.Rows[i].TechSW} {
+			if tq != "" && tq != iec61508.TechNone {
+				claimed[tq] = true
+			}
+		}
+	}
+	var out []iec61508.Technique
+	for _, tq := range iec61508.Techniques() {
+		if claimed[tq] {
+			out = append(out, tq)
+		}
+	}
+	return out
+}
+
+// Report renders the assessment as a certification-style text document:
+// its evidence under its grade.
+func (as *Assessment) Report() string {
+	ev := as.evidence()
+	var b strings.Builder
+	fmt.Fprintf(&b, "=== Safety assessment: %s ===\n\n", ev.Name)
+	fmt.Fprintf(&b, "%s\n\n", ev.Zones)
+
+	m := ev.Metrics
 	t := report.NewTable("IEC 61508 metrics",
 		"λS [FIT]", "λD [FIT]", "λDD [FIT]", "λDU [FIT]", "DC", "SFF", "SIL (HFT0)")
-	t.AddRow(as.Metrics.LambdaS, as.Metrics.LambdaD, as.Metrics.LambdaDD,
-		as.Metrics.LambdaDU, as.Metrics.DC(), as.Metrics.SFF(), as.SIL.String())
+	t.AddRow(m.LambdaS, m.LambdaD, m.LambdaDD, m.LambdaDU, m.DC(), m.SFF(), as.SIL.String())
 	b.WriteString(t.Render())
-	pfh := iec61508.PFH(as.Metrics.LambdaDU)
+	pfh := iec61508.PFH(m.LambdaDU)
 	fmt.Fprintf(&b, "\nContinuous-mode PFH from λDU: %.3g /h (grades %v by the PFH table)\n",
 		pfh, iec61508.SILFromPFH(pfh))
 	fmt.Fprintf(&b, "Target %v: %s\n", as.TargetSIL, verdict(as.TargetMet))
+	sens := ev.Sensitivity
 	fmt.Fprintf(&b, "Sensitivity: SFF in [%.4f, %.4f] (spread %.4f) across %d spans\n",
-		as.Sensitivity.MinSFF, as.Sensitivity.MaxSFF, as.Sensitivity.Spread(), len(as.Sensitivity.Cases))
+		sens.MinSFF, sens.MaxSFF, sens.Spread(), len(sens.Cases))
 
-	if as.DRC != nil {
+	if d := ev.DRC; d != nil {
 		fmt.Fprintf(&b, "\n--- Static DRC pre-flight ---\n")
-		fmt.Fprintf(&b, "findings: %s: %s\n", as.DRC.Summary(), verdict(as.DRC.Clean()))
-		if !as.DRC.Clean() {
+		fmt.Fprintf(&b, "findings: %s: %s\n", d.Summary, verdict(len(d.Errors) == 0))
+		if len(d.Errors) > 0 {
 			fmt.Fprintf(&b, "!! the SIL grade above is CONDITIONAL: the design triple has error-level DRC violations\n")
-			for i := range as.DRC.Findings {
-				f := &as.DRC.Findings[i]
-				if f.Severity == drc.Error {
-					fmt.Fprintf(&b, "  [%s] %s: %s\n", f.Rule, f.Loc, f.Message)
-				}
+			for _, line := range d.Errors {
+				fmt.Fprintf(&b, "  %s\n", line)
 			}
 		}
 	}
 
 	rt := report.NewTable("\nTop criticality ranking (by λDU)", "#", "zone", "λDU [FIT]", "share")
-	for i, zr := range as.Worksheet.Ranking() {
-		if i >= 10 {
-			break
-		}
+	for i, zr := range ev.Ranking {
 		rt.AddRow(i+1, zr.ZoneName, zr.Metrics.LambdaDU, report.Pct(zr.ShareDU))
 	}
 	b.WriteString(rt.Render())
 
-	if v := as.Validation; v != nil {
+	if c := ev.Campaign; c != nil {
 		fmt.Fprintf(&b, "\n--- Validation (fault injection) ---\n")
-		fmt.Fprintf(&b, "workload completeness: %s", verdict(v.Complete))
-		if len(v.InactiveZones) > 0 {
-			fmt.Fprintf(&b, " (untriggered: %v)", v.InactiveZones)
+		fmt.Fprintf(&b, "workload completeness: %s", verdict(c.Complete))
+		if len(c.InactiveZones) > 0 {
+			fmt.Fprintf(&b, " (untriggered: %v)", c.InactiveZones)
 		}
 		b.WriteByte('\n')
-		cov := v.Report.Coverage
+		cov := c.Coverage
 		fmt.Fprintf(&b, "campaign coverage: SENS %s, OBSE %s, DIAG %s, %d mismatches\n",
 			report.Pct(cov.SensFrac()), report.Pct(cov.ObseFrac()), report.Pct(cov.DiagFrac()), cov.Mismatches)
-		if v.Degraded {
-			fmt.Fprintf(&b, "!! degraded campaign: %d quarantined, %d watchdog-aborted experiment(s) —\n", v.Quarantined, v.AbortedExps)
+		if c.degraded() {
+			fmt.Fprintf(&b, "!! degraded campaign: %d quarantined, %d watchdog-aborted experiment(s) —\n", c.Quarantined, c.AbortedExps)
 			fmt.Fprintf(&b, "!! affected rows counted as dangerous undetected; the SIL grade above is CONDITIONAL\n")
 		}
+		pass := as.Validation.PassFraction
 		fmt.Fprintf(&b, "estimate cross-check: %s of zones within tolerance: %s\n",
-			report.Pct(v.PassFraction), verdict(v.PassFraction >= 0.9))
-		fmt.Fprintf(&b, "effects tables consistent with main/secondary analysis: %s\n", verdict(v.EffectsOK))
+			report.Pct(pass), verdict(pass >= 0.9))
+		fmt.Fprintf(&b, "effects tables consistent with main/secondary analysis: %s\n", verdict(c.EffectsOK))
 		fmt.Fprintf(&b, "workload toggle efficiency: raw %s, adjusted %s: %s\n",
-			report.Pct(v.ToggleRaw), report.Pct(v.ToggleAdj), verdict(v.ToggleOK))
-		if v.WideReport != nil {
-			fmt.Fprintf(&b, "wide/global experiments: %d run, %d with multi-point effects\n",
-				len(v.WideReport.Results), multiEffect(v.WideReport))
+			report.Pct(c.ToggleRaw), report.Pct(c.ToggleAdj), verdict(c.ToggleOK))
+		if c.Wide {
+			fmt.Fprintf(&b, "wide/global experiments: %d run, %d with multi-point effects\n", c.WideRun, c.WideMulti)
 		}
 	}
 	return b.String()

@@ -15,11 +15,11 @@ import (
 // the failure-mode analysis summary, the claimed diagnostic techniques
 // with their norm-granted maxima, and the validation evidence.
 func (as *Assessment) SRS() string {
+	ev := as.evidence()
 	var b strings.Builder
-	w := as.Worksheet
-	m := as.Metrics
+	m := ev.Metrics
 
-	fmt.Fprintf(&b, "SAFETY REQUIREMENTS SPECIFICATION (extract) — %s\n", as.Name)
+	fmt.Fprintf(&b, "SAFETY REQUIREMENTS SPECIFICATION (extract) — %s\n", ev.Name)
 	fmt.Fprintf(&b, "%s\n\n", strings.Repeat("=", 60))
 
 	fmt.Fprintf(&b, "1. SAFETY FUNCTION\n")
@@ -37,8 +37,8 @@ func (as *Assessment) SRS() string {
 	}
 
 	fmt.Fprintf(&b, "3. FAILURE MODES AND EFFECTS ANALYSIS\n")
-	fmt.Fprintf(&b, "   %s\n", as.Analysis.Summary())
-	fmt.Fprintf(&b, "   Worksheet rows: %d (zone x failure mode, per IEC 61508-2 Annex A\n", len(w.Rows))
+	fmt.Fprintf(&b, "   %s\n", ev.Zones)
+	fmt.Fprintf(&b, "   Worksheet rows: %d (zone x failure mode, per IEC 61508-2 Annex A\n", ev.WorksheetRows)
 	fmt.Fprintf(&b, "   catalogs for variable memories and digital logic).\n")
 	fmt.Fprintf(&b, "   Totals: λS=%.4f, λD=%.4f, λDD=%.4f, λDU=%.4f FIT\n",
 		m.LambdaS, m.LambdaD, m.LambdaDD, m.LambdaDU)
@@ -46,24 +46,14 @@ func (as *Assessment) SRS() string {
 		report.Pct(m.DC()), report.Pct(m.SFF()), as.SIL)
 
 	fmt.Fprintf(&b, "4. CLAIMED DIAGNOSTIC TECHNIQUES (with norm maxima)\n")
-	techs := map[iec61508.Technique]bool{}
-	for i := range w.Rows {
-		for _, tq := range []iec61508.Technique{w.Rows[i].TechHW, w.Rows[i].TechSW} {
-			if tq != "" && tq != iec61508.TechNone {
-				techs[tq] = true
-			}
-		}
-	}
-	for _, tq := range iec61508.Techniques() {
-		if techs[tq] {
-			lvl, _ := iec61508.DCLevelOf(tq)
-			fmt.Fprintf(&b, "   - %-45s max DC %s (%s)\n", tq, report.Pct(iec61508.MaxDC(tq)), lvl)
-		}
+	for _, tq := range ev.Techniques {
+		lvl, _ := iec61508.DCLevelOf(tq)
+		fmt.Fprintf(&b, "   - %-45s max DC %s (%s)\n", tq, report.Pct(iec61508.MaxDC(tq)), lvl)
 	}
 	b.WriteByte('\n')
 
 	fmt.Fprintf(&b, "5. MOST CRITICAL ELEMENTS (by undetected dangerous rate)\n")
-	for i, zr := range w.Ranking() {
+	for i, zr := range ev.Ranking {
 		if i >= 5 {
 			break
 		}
@@ -73,22 +63,22 @@ func (as *Assessment) SRS() string {
 
 	fmt.Fprintf(&b, "6. ASSUMPTION SENSITIVITY\n")
 	fmt.Fprintf(&b, "   SFF remains within [%s, %s] across the Section 4 span battery\n",
-		report.Pct(as.Sensitivity.MinSFF), report.Pct(as.Sensitivity.MaxSFF))
+		report.Pct(ev.Sensitivity.MinSFF), report.Pct(ev.Sensitivity.MaxSFF))
 	fmt.Fprintf(&b, "   (elementary rates x/÷2, S ±20%%, frequency classes ±1).\n\n")
 
 	fmt.Fprintf(&b, "7. VALIDATION EVIDENCE\n")
-	if v := as.Validation; v != nil {
-		fmt.Fprintf(&b, "   - workload completeness: %s\n", verdict(v.Complete))
+	if c := ev.Campaign; c != nil {
+		fmt.Fprintf(&b, "   - workload completeness: %s\n", verdict(c.Complete))
 		fmt.Fprintf(&b, "   - injection campaign: %d zone-failure experiments, coverage items\n",
-			len(v.Report.Results))
+			c.Experiments)
 		fmt.Fprintf(&b, "     SENS %s / OBSE %s / DIAG %s\n",
-			report.Pct(v.Report.Coverage.SensFrac()),
-			report.Pct(v.Report.Coverage.ObseFrac()),
-			report.Pct(v.Report.Coverage.DiagFrac()))
+			report.Pct(c.Coverage.SensFrac()),
+			report.Pct(c.Coverage.ObseFrac()),
+			report.Pct(c.Coverage.DiagFrac()))
 		fmt.Fprintf(&b, "   - estimate cross-check: %s of zones in line (one-sided)\n",
-			report.Pct(v.PassFraction))
-		fmt.Fprintf(&b, "   - effects tables consistent: %s\n", verdict(v.EffectsOK))
-		fmt.Fprintf(&b, "   - workload toggle efficiency: %s (adjusted)\n", report.Pct(v.ToggleAdj))
+			report.Pct(as.Validation.PassFraction))
+		fmt.Fprintf(&b, "   - effects tables consistent: %s\n", verdict(c.EffectsOK))
+		fmt.Fprintf(&b, "   - workload toggle efficiency: %s (adjusted)\n", report.Pct(c.ToggleAdj))
 	} else {
 		fmt.Fprintf(&b, "   - analytical only; fault-injection validation not yet run\n")
 	}

@@ -243,9 +243,6 @@ func (r *Result) CountAtLeast(sev Severity) int {
 	return n
 }
 
-// Clean reports whether the run produced no error-level findings.
-func (r *Result) Clean() bool { return r.Count(Error) == 0 }
-
 // Summary is a one-line severity tally.
 func (r *Result) Summary() string {
 	return fmt.Sprintf("%d error, %d warn, %d info (%d rules ran, %d skipped)",

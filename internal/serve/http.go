@@ -125,8 +125,9 @@ func (s *Server) handleReport(w http.ResponseWriter, _ *http.Request, job *Job) 
 	job.mu.Lock()
 	report := job.report
 	job.mu.Unlock()
-	// The report is the byte-identity surface: exactly core.Run's
-	// Assessment.Report() bytes, no wrapping, no trailing additions.
+	// The report is the byte-identity surface: exactly the bytes of
+	// core.Run's Assessment.Report() at the job's grading, no wrapping,
+	// no trailing additions.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, report) //nolint:errcheck — client went away
 }

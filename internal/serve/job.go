@@ -15,9 +15,9 @@ import (
 )
 
 // EngineVersion labels the assessment engine generation inside the
-// result-cache key. A cached report is only byte-valid within one
-// engine generation, so bump this with any change that can alter
-// report bytes (new worksheet columns, changed plan generation, ...).
+// cache keys. Cached evidence is only valid within one engine
+// generation, so bump this with any change that can alter report bytes
+// (new worksheet columns, changed plan generation, ...).
 const EngineVersion = "e24"
 
 // Submission is the POST /jobs payload: the campaign-defining design
@@ -128,12 +128,21 @@ func (s Submission) spec() dist.Spec {
 // Key is the submission's content address: an FNV-1a hash over the
 // canonical spec rendering (dist.Spec.Key), the grading knobs and the
 // engine version. Identical normalized submissions map to the same
-// key, which is what lets the daemon serve the common fleet-scale case
-// — the same design assessed again — from one map lookup.
+// key; it names the job's report, and seeds its trace id.
 func (s Submission) Key() string {
 	h := telemetry.TraceID("serve", EngineVersion, s.spec().Key(),
 		strconv.Itoa(s.TargetSIL), strconv.Itoa(s.HFT),
 		strconv.FormatFloat(s.Tolerance, 'g', -1, 64),
+		strconv.FormatBool(s.Validate))
+	return fmt.Sprintf("%016x", h)
+}
+
+// evidenceKey addresses what the submission's campaign measures: the
+// engine version, the spec and whether it validates — not the grading
+// knobs, which core.Assess never reads. Submissions that differ only
+// in TargetSIL, HFT or Tolerance share one cached core.Evidence.
+func (s Submission) evidenceKey() string {
+	h := telemetry.TraceID("serve-evidence", EngineVersion, s.spec().Key(),
 		strconv.FormatBool(s.Validate))
 	return fmt.Sprintf("%016x", h)
 }
@@ -178,6 +187,9 @@ type Job struct {
 	ID  string
 	Sub Submission
 	Key string
+	// evKey is Sub.evidenceKey(): the evidence cache slot the job reads
+	// or fills.
+	evKey string
 
 	// tel is the per-job observability hub; its snapshot is the
 	// /jobs/{id}/progress payload. Immutable after creation.

@@ -14,8 +14,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fmea"
 	"repro/internal/inject"
 	"repro/internal/injecttest"
+	"repro/internal/netlist"
+	"repro/internal/zones"
 )
 
 // fastSub is a submission small enough for a unit test: the analytical
@@ -339,8 +342,15 @@ func TestDuplicateQueuedBehindTwin(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledAndEviction covers the CacheCap knobs.
+// TestCacheDisabledAndEviction covers the CacheCap knobs on the
+// evidence cache: disabled, nothing is kept and a regrade runs the
+// engine again; at cap 1, FIFO eviction drops the older spec's
+// evidence, so its regrade queues while the newer spec's is graded.
 func TestCacheDisabledAndEviction(t *testing.T) {
+	regrade := func(sub Submission) Submission {
+		sub.TargetSIL = 2
+		return sub
+	}
 	off := newServer(Config{CacheCap: -1})
 	j, err := off.Submit(fastSub())
 	if err != nil {
@@ -353,11 +363,17 @@ func TestCacheDisabledAndEviction(t *testing.T) {
 	if len(off.cache) != 0 {
 		t.Fatal("CacheCap<0 must disable caching")
 	}
+	if j, err = off.Submit(regrade(fastSub())); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Status(time.Time{}); st.State != StateQueued || st.CacheHit {
+		t.Fatalf("regrade with caching off = %+v, want queued for the engine", st)
+	}
 
 	small := newServer(Config{CacheCap: 1, QueueDepth: 4})
-	for seed := uint64(1); seed <= 2; seed++ {
-		sub := fastSub()
-		sub.Seed = seed
+	subs := []Submission{fastSub(), fastSub()}
+	subs[1].Seed = 2
+	for _, sub := range subs {
 		if _, err := small.Submit(sub); err != nil {
 			t.Fatal(err)
 		}
@@ -365,6 +381,180 @@ func TestCacheDisabledAndEviction(t *testing.T) {
 	}
 	if len(small.cache) != 1 || len(small.cacheFIFO) != 1 {
 		t.Fatalf("cache size = %d fifo = %d, want 1 (FIFO eviction)", len(small.cache), len(small.cacheFIFO))
+	}
+	kept := subs[1]
+	kept.normalize()
+	if _, ok := small.cache[kept.evidenceKey()]; !ok {
+		t.Fatal("FIFO eviction kept the older spec's evidence")
+	}
+	newer, err := small.Submit(regrade(subs[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := newer.Status(time.Time{}); st.State != StateDone || !st.CacheHit {
+		t.Fatalf("regrade of the cached spec = %+v, want a done cache hit", st)
+	}
+	older, err := small.Submit(regrade(subs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := older.Status(time.Time{}); st.State != StateQueued || st.CacheHit {
+		t.Fatalf("regrade of the evicted spec = %+v, want queued for the engine", st)
+	}
+}
+
+// TestRegradeServedFromEvidence: one fresh job's evidence answers every
+// grading — TargetSIL 1–4 × HFT 0–2 × three tolerances, submitted
+// concurrently — with the bytes and status bits of a direct core.Run at
+// that grading, and no second engine run.
+func TestRegradeServedFromEvidence(t *testing.T) {
+	fresh := Submission{Design: "cpu-lockstep", Transient: 1, Permanent: 1, Wide: 2, Validate: true}
+	srv := newServer(Config{})
+	if _, err := srv.Submit(fresh); err != nil {
+		t.Fatal(err)
+	}
+	srv.run(<-srv.queue)
+	var subs []Submission
+	for sil := 1; sil <= 4; sil++ {
+		for hft := 0; hft <= 2; hft++ {
+			for _, tol := range []float64{0.05, 0.35, 1} {
+				sub := fresh
+				sub.TargetSIL, sub.HFT, sub.Tolerance = sil, hft, tol
+				subs = append(subs, sub)
+			}
+		}
+	}
+	jobs := make([]*Job, len(subs))
+	var wg sync.WaitGroup
+	for i, sub := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job, err := srv.Submit(sub)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			jobs[i] = job
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	met, missed := 0, 0
+	for i, sub := range subs {
+		st := jobs[i].Status(time.Time{})
+		if st.State != StateDone || !st.CacheHit {
+			t.Fatalf("regrade %+v: status %+v, want a done cache hit", sub, st)
+		}
+		_, want := directRun(t, sub)
+		jobs[i].mu.Lock()
+		report := jobs[i].report
+		jobs[i].mu.Unlock()
+		if report != want.Report() {
+			t.Fatalf("regrade SIL%d HFT%d tol %g: report differs from core.Run's", sub.TargetSIL, sub.HFT, sub.Tolerance)
+		}
+		if st.TargetMet != want.TargetMet || st.Conditional != (!want.DRCClean() || !want.CampaignHealthy()) {
+			t.Fatalf("regrade SIL%d HFT%d tol %g: status %+v, core.Run target met %v",
+				sub.TargetSIL, sub.HFT, sub.Tolerance, st, want.TargetMet)
+		}
+		if st.TargetMet {
+			met++
+		} else {
+			missed++
+		}
+	}
+	if met == 0 || missed == 0 {
+		t.Errorf("target met %d, missed %d times: the matrix reaches one verdict only", met, missed)
+	}
+	snap := srv.Registry().Snapshot()
+	if snap.Counters["served_cache_misses"] != 1 || snap.Counters["served_cache_hits"] != int64(len(subs)) {
+		t.Fatalf("misses %d hits %d, want 1 engine run and %d graded hits",
+			snap.Counters["served_cache_misses"], snap.Counters["served_cache_hits"], len(subs))
+	}
+}
+
+// TestRegradeQueuedBehindOriginal: a regrade accepted before its
+// original ran is graded at dequeue from the evidence the original
+// left, so the engine runs once.
+func TestRegradeQueuedBehindOriginal(t *testing.T) {
+	srv := newServer(Config{QueueDepth: 2})
+	orig := fastSub()
+	regrade := fastSub()
+	regrade.TargetSIL = 2
+	if _, err := srv.Submit(orig); err != nil {
+		t.Fatal(err)
+	}
+	job, err := srv.Submit(regrade)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := job.Status(time.Time{}); st.State != StateQueued {
+		t.Fatalf("regrade before the original ran = %s, want queued", st.State)
+	}
+	srv.run(<-srv.queue) // the original: the one engine run
+	srv.run(<-srv.queue) // the regrade: graded at dequeue
+	st := job.Status(time.Time{})
+	if st.State != StateDone || !st.CacheHit {
+		t.Fatalf("regrade = %+v, want a done cache hit", st)
+	}
+	job.mu.Lock()
+	report := job.report
+	job.mu.Unlock()
+	if report != directReport(t, regrade) {
+		t.Fatal("regrade graded at dequeue differs from core.Run's report")
+	}
+	snap := srv.Registry().Snapshot()
+	if snap.Counters["served_cache_misses"] != 1 || snap.Counters["served_cache_hits"] != 1 {
+		t.Fatalf("misses %d hits %d, want 1 and 1", snap.Counters["served_cache_misses"], snap.Counters["served_cache_hits"])
+	}
+}
+
+// TestCacheHoldsNoWorkingSet walks the cache entry's type: it must
+// reach none of the campaign's working set, which is what keeps a
+// cached entry kilobytes instead of the analysis behind it.
+func TestCacheHoldsNoWorkingSet(t *testing.T) {
+	heavy := map[reflect.Type]bool{
+		reflect.TypeOf((*zones.Analysis)(nil)):  true,
+		reflect.TypeOf((*netlist.Netlist)(nil)): true,
+		reflect.TypeOf((*fmea.Worksheet)(nil)):  true,
+		reflect.TypeOf((*inject.Report)(nil)):   true,
+	}
+	reaches := func(root reflect.Type) []reflect.Type {
+		var found []reflect.Type
+		seen := map[reflect.Type]bool{}
+		var walk func(reflect.Type)
+		walk = func(ty reflect.Type) {
+			if seen[ty] {
+				return
+			}
+			seen[ty] = true
+			if heavy[ty] {
+				found = append(found, ty)
+			}
+			switch ty.Kind() {
+			case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+				walk(ty.Elem())
+			case reflect.Map:
+				walk(ty.Key())
+				walk(ty.Elem())
+			case reflect.Struct:
+				for i := 0; i < ty.NumField(); i++ {
+					walk(ty.Field(i).Type)
+				}
+			}
+		}
+		walk(root)
+		return found
+	}
+	// The walk sees the working set where it is.
+	if got := reaches(reflect.TypeOf(core.Assessment{})); len(got) != len(heavy) {
+		t.Fatalf("walk of core.Assessment reaches %v, want all of %d heavy types", got, len(heavy))
+	}
+	entry := reflect.TypeOf(newServer(Config{}).cache).Elem()
+	if got := reaches(entry); len(got) != 0 {
+		t.Fatalf("cache entry %v reaches %v", entry, got)
 	}
 }
 
@@ -580,6 +770,12 @@ func TestSubmissionKeyNormalization(t *testing.T) {
 			t.Errorf("knob %s collides with %s on key %s", name, prev, k)
 		}
 		seen[k] = name
+		// The evidence key moves with everything the campaign measures
+		// and with nothing that only grades it.
+		grading := name == "sil" || name == "hft" || name == "tolerance"
+		if same := sub.evidenceKey() == base.evidenceKey(); same != grading {
+			t.Errorf("knob %s: evidence key unchanged = %v, want %v", name, same, grading)
+		}
 	}
 }
 

@@ -4,14 +4,15 @@
 //
 // Shape: submissions enter a bounded FIFO queue (reject-with-429 on
 // overflow) feeding a fixed worker pool; each accepted job runs the
-// existing supervised core.Run engine with its own telemetry hub, so
-// the /progress snapshot that used to be a process-global observer
-// becomes a per-job product endpoint (GET /jobs/{id}/progress), next
-// to the job's report and JSONL journal. Finished reports land in a
-// content-addressed cache keyed by (design spec, plan config, engine
-// version): identical submissions — the common case at fleet scale —
-// are answered with the finished byte-identical report from one map
-// lookup, never a second core.Run.
+// supervised core.Assess engine with its own telemetry hub, so the
+// /progress snapshot that used to be a process-global observer becomes
+// a per-job product endpoint (GET /jobs/{id}/progress), next to the
+// job's report and JSONL journal. What a campaign measured lands in a
+// content-addressed cache of core.Evidence keyed by (engine version,
+// design spec and plan, validate) — not by the grading knobs. Every
+// later submission of that spec — a repeat, or a regrade at another
+// target SIL, HFT or tolerance — is answered by one lookup and a
+// core.Grade plus render, never a second campaign.
 //
 // Everything a served report contains is byte-identical to the same
 // design/plan run through cmd/certify: the daemon adds scheduling,
@@ -47,10 +48,10 @@ type Config struct {
 	EngineWorkers  int
 	EngineLanes    int
 	EngineCollapse bool
-	// CacheCap bounds the content-addressed result cache (entries;
-	// 0 selects 256, negative disables caching). Eviction is FIFO by
-	// insertion: the cache is an idempotency layer, not an LRU tuned
-	// for hit rate.
+	// CacheCap bounds the content-addressed evidence cache (entries;
+	// 0 selects 256, negative disables caching). A hit costs one lookup
+	// and a grade. Eviction is FIFO by insertion: the cache is an
+	// idempotency layer, not an LRU tuned for hit rate.
 	CacheCap int
 	// JobsCap bounds the in-memory job table (0 selects 1024, negative
 	// disables eviction). Past the cap the oldest terminal jobs
@@ -67,18 +68,28 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// cacheEntry is one finished assessment in the content-addressed
-// cache. The report is the full byte-identity surface; the grading
-// bits ride along so a hit can fill the job status without reparsing.
-type cacheEntry struct {
+// verdict is a graded job's outcome: its report and the status bits
+// its grade sets.
+type verdict struct {
 	report      string
 	targetMet   bool
 	conditional bool
-	jobID       string // the job that paid for the miss
+}
+
+// grade grades evidence for a submission and renders the report. Both
+// a fresh run and a cache hit finish through it, so the two serve the
+// same bytes.
+func grade(sub Submission, ev *core.Evidence) verdict {
+	as := core.Grade(&core.Assessment{Evidence: ev}, sub.options())
+	return verdict{
+		report:      as.Report(),
+		targetMet:   as.TargetMet,
+		conditional: !as.DRCClean() || !as.CampaignHealthy(),
+	}
 }
 
 // Server is the multi-tenant assessment daemon: queue, worker pool,
-// job table, result cache and metrics registry. Create with New,
+// job table, evidence cache and metrics registry. Create with New,
 // mount Handler on an HTTP server, stop with Drain.
 type Server struct {
 	cfg Config
@@ -107,7 +118,7 @@ type Server struct {
 	mu        sync.Mutex
 	jobs      map[string]*Job
 	order     []string
-	cache     map[string]cacheEntry
+	cache     map[string]*core.Evidence // by Submission.evidenceKey
 	cacheFIFO []string
 	nextID    int
 	draining  bool
@@ -153,7 +164,7 @@ func newServer(cfg Config) *Server {
 		runMsH:    r.Histogram("served_run_ms", 10, 100, 1000, 10_000, 60_000, 600_000),
 		queue:     make(chan *Job, cfg.QueueDepth),
 		jobs:      map[string]*Job{},
-		cache:     map[string]cacheEntry{},
+		cache:     map[string]*core.Evidence{},
 	}
 	return s
 }
@@ -189,14 +200,24 @@ var ErrQueueFull = fmt.Errorf("serve: job queue full")
 var ErrDraining = fmt.Errorf("serve: server draining")
 
 // Submit validates, normalizes and enqueues one submission. A cache
-// hit returns a job that is born done with the cached byte-identical
-// report — no queue slot, no engine time.
+// hit — the spec's evidence is cached, whatever the grading knobs —
+// returns a job that is born done with its graded report: no queue
+// slot, no engine time.
 func (s *Server) Submit(sub Submission) (*Job, error) {
 	sub.normalize()
 	if err := sub.validate(); err != nil {
 		return nil, err
 	}
-	key := sub.Key()
+	evKey := sub.evidenceKey()
+	// A hit is graded before the job exists and outside s.mu: it takes
+	// a fraction of a millisecond, but no other tenant waits on it.
+	s.mu.Lock()
+	ev := s.cache[evKey]
+	s.mu.Unlock()
+	var hit verdict
+	if ev != nil {
+		hit = grade(sub, ev)
+	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -207,15 +228,16 @@ func (s *Server) Submit(sub Submission) (*Job, error) {
 	job := &Job{
 		ID:        fmt.Sprintf("j%d", s.nextID),
 		Sub:       sub,
-		Key:       key,
+		Key:       sub.Key(),
+		evKey:     evKey,
 		cancel:    make(chan struct{}),
 		state:     StateQueued,
 		submitted: s.now(),
 		journal:   &journalBuf{},
 	}
 	job.tel = s.newJobTelemetry(job)
-	if ce, ok := s.cache[key]; ok {
-		s.finishFromCache(job, ce)
+	if ev != nil {
+		s.finishFromCache(job, hit)
 		s.track(job)
 		s.mu.Unlock()
 		s.submitted.Inc()
@@ -239,7 +261,6 @@ func (s *Server) Submit(sub Submission) (*Job, error) {
 	s.track(job)
 	s.mu.Unlock()
 	s.submitted.Inc()
-	s.cacheMiss.Inc()
 	return job, nil
 }
 
@@ -276,21 +297,21 @@ func (s *Server) evictJobs() {
 	}
 }
 
-// finishFromCache marks a job done with a cached result and settles the
-// same terminal bookkeeping as an engine-run finish: journal closed (so
-// /jobs/{id}/journal serves the flushed JSONL), queue-wait observed and
-// the completion counter bumped. Caller holds s.mu for the cache read;
-// job.mu is still required because on the dequeue-time hit path the job
-// has been visible to pollers since Submit, so a concurrent
+// finishFromCache marks a job done with a verdict graded from cached
+// evidence and settles the same terminal bookkeeping as an engine-run
+// finish: journal closed (so /jobs/{id}/journal serves the flushed
+// JSONL), queue-wait observed and the completion counter bumped.
+// job.mu is required because on the dequeue-time hit path the job has
+// been visible to pollers since Submit, so a concurrent
 // Job.Status/handleReport may be reading these fields.
-func (s *Server) finishFromCache(job *Job, ce cacheEntry) {
+func (s *Server) finishFromCache(job *Job, v verdict) {
 	now := s.now()
 	job.mu.Lock()
 	job.state = StateDone
 	job.cacheHit = true
-	job.report = ce.report
-	job.targetMet = ce.targetMet
-	job.conditional = ce.conditional
+	job.report = v.report
+	job.targetMet = v.targetMet
+	job.conditional = v.conditional
 	job.started = now
 	job.finished = now
 	sub := job.submitted
@@ -343,20 +364,21 @@ func (s *Server) newJobTelemetry(job *Job) *telemetry.Campaign {
 func (s *Server) run(job *Job) {
 	// A job canceled while still queued never touches the engine.
 	if job.canceled() {
-		s.finish(job, StateCanceled, "", false, false, "canceled while queued")
+		s.finish(job, StateCanceled, verdict{}, "canceled while queued")
 		return
 	}
-	// A duplicate that queued behind its twin is served from the cache
-	// filled in the meantime — the second identical submission costs a
-	// map lookup even when both arrived before either finished.
+	// A job that queued behind another of its spec — a twin or a
+	// regrade — is graded from the evidence cached in the meantime,
+	// even when both arrived before either finished.
 	s.mu.Lock()
-	if ce, ok := s.cache[job.Key]; ok {
-		s.finishFromCache(job, ce)
-		s.mu.Unlock()
+	ev := s.cache[job.evKey]
+	s.mu.Unlock()
+	if ev != nil {
+		s.finishFromCache(job, grade(job.Sub, ev))
 		s.cacheHits.Inc()
 		return
 	}
-	s.mu.Unlock()
+	s.cacheMiss.Inc()
 
 	start := s.now()
 	job.mu.Lock()
@@ -381,7 +403,7 @@ func (s *Server) run(job *Job) {
 
 	dut, err := job.Sub.dut()
 	if err != nil {
-		s.finish(job, StateFailed, "", false, false, err.Error())
+		s.finish(job, StateFailed, verdict{}, err.Error())
 		return
 	}
 	opts := job.Sub.options()
@@ -401,39 +423,37 @@ func (s *Server) run(job *Job) {
 	})
 	job.tel.SetTraceRoot(root)
 
-	as, err := core.Run(dut, opts)
+	as, err := core.Assess(dut, opts)
 	end := s.now()
 	if !end.IsZero() && !start.IsZero() {
 		s.runMsH.Observe(end.Sub(start).Milliseconds())
 	}
 	switch {
 	case err == nil:
-		report := as.Report()
-		s.storeCache(job, report, as.TargetMet, !as.DRCClean() || !as.CampaignHealthy())
+		s.storeCache(job.evKey, as.Evidence)
+		v := grade(job.Sub, as.Evidence)
 		root.EndOutcome("done")
-		s.finish(job, StateDone, report, as.TargetMet, !as.DRCClean() || !as.CampaignHealthy(), "")
+		s.finish(job, StateDone, v, "")
 	case job.canceled() || ctx.Err() != nil || errors.Is(err, inject.ErrCampaignInterrupted):
 		root.EndOutcome("canceled")
-		s.finish(job, StateCanceled, "", false, false, err.Error())
+		s.finish(job, StateCanceled, verdict{}, err.Error())
 	default:
 		root.EndOutcome("failed")
-		s.finish(job, StateFailed, "", false, false, err.Error())
+		s.finish(job, StateFailed, verdict{}, err.Error())
 	}
 }
 
-// storeCache inserts a finished report under the job's content key,
-// evicting the oldest entry past CacheCap.
-func (s *Server) storeCache(job *Job, report string, targetMet, conditional bool) {
+// storeCache inserts a spec's evidence under its key, evicting the
+// oldest entry past CacheCap.
+func (s *Server) storeCache(key string, ev *core.Evidence) {
 	if s.cfg.CacheCap < 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.cache[job.Key]; !ok {
-		s.cache[job.Key] = cacheEntry{
-			report: report, targetMet: targetMet, conditional: conditional, jobID: job.ID,
-		}
-		s.cacheFIFO = append(s.cacheFIFO, job.Key)
+	if _, ok := s.cache[key]; !ok {
+		s.cache[key] = ev
+		s.cacheFIFO = append(s.cacheFIFO, key)
 		for len(s.cacheFIFO) > s.cfg.CacheCap {
 			delete(s.cache, s.cacheFIFO[0])
 			s.cacheFIFO = s.cacheFIFO[1:]
@@ -444,12 +464,12 @@ func (s *Server) storeCache(job *Job, report string, targetMet, conditional bool
 // finish pins the job's terminal state and closes its journal (which
 // flushes the buffered JSONL so /jobs/{id}/journal serves the full
 // stream).
-func (s *Server) finish(job *Job, state, report string, targetMet, conditional bool, errMsg string) {
+func (s *Server) finish(job *Job, state string, v verdict, errMsg string) {
 	job.mu.Lock()
 	job.state = state
-	job.report = report
-	job.targetMet = targetMet
-	job.conditional = conditional
+	job.report = v.report
+	job.targetMet = v.targetMet
+	job.conditional = v.conditional
 	if state != StateDone {
 		job.errMsg = errMsg
 	}
